@@ -3,13 +3,20 @@
 // caches (§4), and the trie-based weaker-than detector (§3) — behind
 // the event.Sink interface the interpreter feeds.
 //
-// The composition order per access is:
+// The pipeline has two halves. One filter front end (front.go, with
+// its sampled path in sampling.go) decides which accesses reach the
+// trie; one trie stage records and reports them. Per access:
 //
 //	cache lookup → [hit: done]
 //	ownership filter → [owned: cache insert, done; owned→shared:
 //	                    evict location from all caches]
-//	trie: weakness check → race check → update
+//	materialize lockset → survivor sink (trie stage:
+//	                      weakness check → race check → update)
 //	cache insert
+//
+// The serial Detector runs the trie stage inline as the front end's
+// survivor sink; Sharded (sharded.go) puts a router there that ships
+// survivors to per-shard trie stages on worker goroutines.
 //
 // Reporting follows Definition 1: the detector reports at least one
 // racing access for every memory location involved in a datarace
@@ -18,11 +25,11 @@ package detector
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"racedet/internal/rt/cache"
 	"racedet/internal/rt/event"
-	"racedet/internal/rt/ownership"
 	"racedet/internal/rt/sitestate"
 	"racedet/internal/rt/trie"
 )
@@ -133,6 +140,8 @@ type Report struct {
 	PriorLocks  event.Lockset
 	PriorKind   event.Kind
 	ObjDesc     string
+
+	seq uint64 // detection-order stamp: the Shipped count at this access
 }
 
 func (r Report) String() string {
@@ -215,80 +224,126 @@ type history interface {
 	LocationCount() int
 }
 
-// Detector is the composed runtime detector.
-type Detector struct {
-	opts Options
+// newHistory builds the history store opts selects, bounded to budget
+// nodes (0 = unbounded; only the default per-location trie honors it),
+// with it as the interner for reported locksets.
+func newHistory(opts Options, budget int, it *event.Interner) history {
+	var h history
+	switch {
+	case opts.PackedTrie:
+		h = trie.NewPacked()
+	case opts.NoTBot:
+		h = trie.NewNoTBot()
+	case budget > 0:
+		h = trie.NewBounded(budget)
+	default:
+		h = trie.New()
+	}
+	if st, ok := h.(interface {
+		SetInterner(*event.Interner)
+	}); ok {
+		st.SetInterner(it)
+	}
+	return h
+}
 
-	intern *event.Interner
-	locks  *event.LockTracker
-	cache  *cache.Cache
-	owner  *ownership.Table
-	trie   history
-	sites  *sitestate.Table // non-nil iff per-site throttling is on
-	stats  Stats
-	parent map[event.ThreadID]event.ThreadID
+// trieStage is the back half of the pipeline, shared by the serial
+// detector and every shard worker: the history store plus per-location
+// report deduplication. Reports carry their access's seq stamp, which
+// is how the sharded back end merges its shards' reports into the
+// serial detection order.
+type trieStage struct {
+	hist      history
+	reportAll bool
+	// describe renders ObjDesc at report time. Nil on shard workers:
+	// DescribeObj reads the interpreter's heap, so the sharded back end
+	// describes at merge time instead.
+	describe func(event.ObjID) string
 
 	reports     []Report
 	reportedLoc map[event.Loc]struct{}
 	reportedObj map[event.ObjID]struct{}
 }
 
+func newTrieStage(h history, reportAll bool) trieStage {
+	return trieStage{
+		hist:        h,
+		reportAll:   reportAll,
+		reportedLoc: make(map[event.Loc]struct{}),
+		reportedObj: make(map[event.ObjID]struct{}),
+	}
+}
+
+// ship implements survivorSink: run the trie and report a race.
+func (ts *trieStage) ship(a event.Access, seq uint64) {
+	if race, info := ts.hist.Process(a); race {
+		ts.record(Report{
+			Access:      a,
+			PriorThread: info.PriorThread,
+			PriorLocks:  info.PriorLocks,
+			PriorKind:   info.PriorKind,
+			seq:         seq,
+		}, ts.reportAll)
+	}
+}
+
+// record appends r unless its location already has a report and all
+// is false (Definition 1: at least one report per racy location).
+func (ts *trieStage) record(r Report, all bool) {
+	loc := r.Access.Loc
+	if _, dup := ts.reportedLoc[loc]; dup && !all {
+		return
+	}
+	ts.reportedLoc[loc] = struct{}{}
+	ts.reportedObj[loc.Obj] = struct{}{}
+	if ts.describe != nil {
+		r.ObjDesc = ts.describe(loc.Obj)
+	}
+	ts.reports = append(ts.reports, r)
+}
+
+// copyReports replaces the stage's report set with a deep copy of
+// src's; the history is untouched.
+func (ts *trieStage) copyReports(src *trieStage) {
+	ts.reports = append([]Report(nil), src.reports...)
+	ts.reportedLoc = maps.Clone(src.reportedLoc)
+	ts.reportedObj = maps.Clone(src.reportedObj)
+}
+
+// clone deep-copies the stage (history included) for a checkpoint.
+func (ts *trieStage) clone() trieStage {
+	c := *ts
+	c.hist = cloneHistory(ts.hist)
+	c.copyReports(ts)
+	return c
+}
+
+// sortedObjs returns the keys of objs in ascending order.
+func sortedObjs(objs map[event.ObjID]struct{}) []event.ObjID {
+	out := make([]event.ObjID, 0, len(objs))
+	for o := range objs {
+		out = append(out, o)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// Detector is the serial back end: the filter front end with the trie
+// stage running inline as its survivor sink.
+type Detector struct {
+	front
+	stage trieStage
+}
+
 var _ event.BatchSink = (*Detector)(nil)
 
 // New builds a detector with the given options.
 func New(opts Options) *Detector {
-	it := event.NewInterner()
-	d := &Detector{
-		opts:        opts,
-		intern:      it,
-		locks:       event.NewLockTrackerInterned(it),
-		cache:       cache.New(),
-		owner:       ownership.New(),
-		parent:      make(map[event.ThreadID]event.ThreadID),
-		reportedLoc: make(map[event.Loc]struct{}),
-		reportedObj: make(map[event.ObjID]struct{}),
-	}
-	if opts.MaxCacheThreads > 0 {
-		d.cache = cache.NewBounded(opts.MaxCacheThreads)
-	}
-	if opts.MaxOwnerLocations > 0 {
-		d.owner = ownership.NewBounded(opts.MaxOwnerLocations)
-	}
-	switch {
-	case opts.PackedTrie:
-		d.trie = trie.NewPacked()
-	case opts.NoTBot:
-		d.trie = trie.NewNoTBot()
-	case opts.MaxTrieNodes > 0:
-		d.trie = trie.NewBounded(opts.MaxTrieNodes)
-	default:
-		d.trie = trie.New()
-	}
-	if st, ok := d.trie.(interface {
-		SetInterner(*event.Interner)
-	}); ok {
-		st.SetInterner(it)
-	}
-	if sc, on := samplingConfig(opts); on {
-		d.sites = sitestate.New(sc)
-		d.owner.SetOnContact(d.sites.Contact)
-	}
+	d := &Detector{front: newFront(opts)}
+	d.stage = newTrieStage(newHistory(opts, opts.MaxTrieNodes, d.intern), opts.ReportAll)
+	d.stage.describe = opts.DescribeObj
+	d.out = &d.stage
 	return d
-}
-
-// samplingConfig resolves the Options sampling knobs. Throttling needs
-// the ownership filter's contact signal to stay over-report-never-miss,
-// so NoOwnership disables it.
-func samplingConfig(opts Options) (sitestate.Config, bool) {
-	if opts.NoOwnership || (opts.SampleK <= 0 && opts.SampleBudget <= 0) {
-		return sitestate.Config{}, false
-	}
-	return sitestate.Config{
-		K:            opts.SampleK,
-		Budget:       opts.SampleBudget,
-		Priors:       opts.Priors,
-		InvertPriors: opts.InvertPriors,
-	}, true
 }
 
 // Interner exposes the per-run lockset intern table (read-only use:
@@ -300,220 +355,25 @@ func (d *Detector) Interner() *event.Interner { return d.intern }
 func (d *Detector) Err() error { return nil }
 
 // Reports returns the datarace reports in detection order.
-func (d *Detector) Reports() []Report { return d.reports }
+func (d *Detector) Reports() []Report { return d.stage.reports }
 
 // SetDescribeObj installs the object renderer used in reports. The
 // runner sets it after the interpreter (which owns the heap) exists.
-func (d *Detector) SetDescribeObj(fn func(event.ObjID) string) { d.opts.DescribeObj = fn }
+func (d *Detector) SetDescribeObj(fn func(event.ObjID) string) { d.stage.describe = fn }
 
 // RacyObjects returns the distinct objects named in reports, sorted —
 // the quantity Table 3 counts.
-func (d *Detector) RacyObjects() []event.ObjID {
-	objs := make([]event.ObjID, 0, len(d.reportedObj))
-	for o := range d.reportedObj {
-		objs = append(objs, o)
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-	return objs
-}
+func (d *Detector) RacyObjects() []event.ObjID { return sortedObjs(d.stage.reportedObj) }
 
 // Stats returns the aggregated work counters.
 func (d *Detector) Stats() Stats {
-	s := d.stats
-	s.OwnerLocations = d.owner.Locations()
-	s.OwnerOverflows = d.owner.Overflows()
-	s.Trie = d.trie.Stats()
-	s.Cache = d.cache.Stats()
-	if d.sites != nil {
-		s.Sample = d.sites.Stats()
-	}
+	s := d.filterStats()
+	s.Trie = d.stage.hist.Stats()
 	return s
 }
 
 // TrieNodeCount exposes the history size (space metric).
-func (d *Detector) TrieNodeCount() int { return d.trie.NodeCount() }
+func (d *Detector) TrieNodeCount() int { return d.stage.hist.NodeCount() }
 
 // TrieLocationCount exposes the number of locations with history.
-func (d *Detector) TrieLocationCount() int { return d.trie.LocationCount() }
-
-// ---------------------------------------------------------------------------
-// event.Sink implementation
-
-// ThreadStarted implements event.Sink.
-func (d *Detector) ThreadStarted(child, parent event.ThreadID) {
-	d.parent[child] = parent
-	if !d.opts.NoPseudoLocks {
-		d.locks.ThreadStarted(child, parent)
-	}
-}
-
-// ThreadFinished implements event.Sink.
-func (d *Detector) ThreadFinished(t event.ThreadID) {
-	if !d.opts.NoPseudoLocks {
-		d.locks.ThreadFinished(t)
-	}
-	d.cache.ThreadFinished(t)
-}
-
-// Joined implements event.Sink.
-func (d *Detector) Joined(joiner, joinee event.ThreadID) {
-	if !d.opts.NoPseudoLocks {
-		d.locks.Joined(joiner, joinee)
-	}
-}
-
-// MonitorEnter implements event.Sink.
-func (d *Detector) MonitorEnter(t event.ThreadID, lock event.ObjID, depth int) {
-	d.locks.MonitorEnter(t, lock, depth)
-}
-
-// MonitorExit implements event.Sink. Releasing a lock evicts the
-// cache entries whose locksets contain it; reentrant exits are
-// ignored, matching §4.2's note on nested locks.
-func (d *Detector) MonitorExit(t event.ThreadID, lock event.ObjID, depth int) {
-	d.locks.MonitorExit(t, lock, depth)
-	if depth == 0 && !d.opts.NoCache {
-		d.cache.LockReleased(t, lock)
-	}
-}
-
-// QuickCheck is the inlined fast path of the §4 runtime optimizer:
-// the paper compiles the cache lookup into the instrumented code so a
-// hit never calls into the detector. The interpreter calls it before
-// materializing a full access event; true means the access was
-// absorbed by the cache.
-func (d *Detector) QuickCheck(t event.ThreadID, loc event.Loc, kind event.Kind) bool {
-	// Under sampling the fast path is off: the throttling layer must
-	// observe the complete stream (site counters, touch accounting), and
-	// a live sampled run must see exactly what a trace replay feeds it.
-	if d.opts.NoCache || d.sites != nil {
-		return false
-	}
-	if d.opts.FieldsMerged && loc.Slot >= event.ArraySlot {
-		loc.Slot = 0
-	}
-	if d.cache.Lookup(t, loc, kind) {
-		d.stats.Accesses++
-		d.stats.CacheHits++
-		return true
-	}
-	return false
-}
-
-// filter is the front half of the per-access pipeline — stats, field
-// merging, cache lookup, ownership — shared by Access and AccessBatch.
-// It returns the (possibly merged) location and whether the access
-// survives to the trie stage; absorbed accesses are fully accounted
-// (including the owner-skip cache insert) before it returns.
-func (d *Detector) filter(t event.ThreadID, loc event.Loc, kind event.Kind) (event.Loc, bool) {
-	d.stats.Accesses++
-	// FieldsMerged collapses instance fields and the array pseudo-slot
-	// (Slot >= ArraySlot) to one location per object; static slots
-	// (Slot <= StaticSlotBase) stay distinct, as in the paper.
-	if d.opts.FieldsMerged && loc.Slot >= event.ArraySlot {
-		loc.Slot = 0
-	}
-
-	// 1. Cache.
-	if !d.opts.NoCache {
-		if d.cache.Lookup(t, loc, kind) {
-			d.stats.CacheHits++
-			return loc, false
-		}
-	}
-
-	// 2. Ownership.
-	if !d.opts.NoOwnership {
-		forward, becameShared := d.owner.Filter(t, loc)
-		if becameShared && !d.opts.NoCache {
-			d.cache.EvictLocation(loc)
-		}
-		if !forward {
-			d.stats.OwnerSkips++
-			if !d.opts.NoCache {
-				top, ok := d.locks.Top(t)
-				d.cache.Insert(t, loc, kind, top, ok)
-			}
-			return loc, false
-		}
-	}
-	return loc, true
-}
-
-// deliver is the back half of the pipeline for a filter survivor:
-// materialize the (interned) lockset, run the trie, and insert into
-// the cache so equal-or-stronger accesses short-circuit.
-func (d *Detector) deliver(a event.Access, loc event.Loc) {
-	d.stats.Shipped++
-	a.Loc = loc
-	a.Locks = d.locks.Held(a.Thread)
-	a.LockID = d.locks.HeldID(a.Thread)
-	race, info := d.trie.Process(a)
-	if race {
-		d.report(a, info)
-	}
-	if !d.opts.NoCache {
-		top, ok := d.locks.Top(a.Thread)
-		d.cache.Insert(a.Thread, loc, a.Kind, top, ok)
-	}
-}
-
-// Access implements event.Sink: the full per-access pipeline. The
-// interpreter only calls it after QuickCheck missed, so the cache
-// lookup here is a second (cheap) miss except for sinks that do not
-// use the fast path.
-func (d *Detector) Access(a event.Access) {
-	if d.sites != nil {
-		d.sampledAccess(&a)
-		return
-	}
-	loc, forward := d.filter(a.Thread, a.Loc, a.Kind)
-	if forward {
-		d.deliver(a, loc)
-	}
-}
-
-// AccessBatch implements event.BatchSink: a batch is a run of accesses
-// by one thread under one lock environment, so the tracker's memoized
-// lockset is computed at most once for the whole batch. Iterating by
-// pointer keeps the hot filter front free of the per-element 96-byte
-// copy that calling Access in a loop would cost; the full event is
-// copied only for filter survivors, which deliver owns by value. The
-// batch slice itself is never retained or mutated (MultiSink hands
-// the same slice to every batch-aware child).
-func (d *Detector) AccessBatch(batch []event.Access) {
-	if d.sites != nil {
-		for i := range batch {
-			d.sampledAccess(&batch[i])
-		}
-		return
-	}
-	for i := range batch {
-		a := &batch[i]
-		loc, forward := d.filter(a.Thread, a.Loc, a.Kind)
-		if forward {
-			d.deliver(*a, loc)
-		}
-	}
-}
-
-func (d *Detector) report(a event.Access, info trie.RaceInfo) {
-	if !d.opts.ReportAll {
-		if _, dup := d.reportedLoc[a.Loc]; dup {
-			return
-		}
-	}
-	d.reportedLoc[a.Loc] = struct{}{}
-	d.reportedObj[a.Loc.Obj] = struct{}{}
-	desc := ""
-	if d.opts.DescribeObj != nil {
-		desc = d.opts.DescribeObj(a.Loc.Obj)
-	}
-	d.reports = append(d.reports, Report{
-		Access:      a,
-		PriorThread: info.PriorThread,
-		PriorLocks:  info.PriorLocks,
-		PriorKind:   info.PriorKind,
-		ObjDesc:     desc,
-	})
-}
+func (d *Detector) TrieLocationCount() int { return d.stage.hist.LocationCount() }

@@ -1,31 +1,28 @@
-// Adaptive per-site throttling: the sampled access pipelines of the
-// serial detector and the sharded router.
+// Adaptive per-site throttling: the front end's sampled access path.
 //
-// Both back ends run the same decision procedure, synchronously, in
-// serial event order, against identical sitestate/ownership/cache
-// state — so a sampled sharded run ships exactly the event stream the
-// sampled serial run ships and their merged reports stay
-// byte-identical (pinned by TestSampledShardedMatchesSerial and the
-// corpus differentials).
+// It runs synchronously, in event order, in the one filter front end
+// both back ends share, so a sampled sharded run ships exactly the
+// event stream the sampled serial run ships and their merged reports
+// stay byte-identical (pinned by TestSampledShardedMatchesSerial and
+// the corpus differentials).
 //
-// Per access at an ARMED site: the normal pipeline runs (cache →
-// ownership → trie) and the outcome is recorded as a site observation;
+// Per access at an ARMED site: the unsampled filter runs (cache →
+// ownership → trie) and its outcome is recorded as a site observation;
 // K consecutive observations with no intervening re-arm demote the
 // site. Every shipped access — armed or stub — is recorded in the
-// per-location shipped history and inserted into the per-thread cache
-// (the unsampled pipeline caches every delivered access; the sampled
-// one must too, or recurring racy-shaped traffic would re-ship on
-// every repeat).
+// per-location shipped history and, like every unsampled survivor,
+// inserted into the per-thread cache (or recurring racy-shaped traffic
+// would re-ship on every repeat).
 //
 // Per access at a DEMOTED site, in order:
 //
 //  1. the location carries an armed marker (set by the ownership
 //     table's contact callback) → re-arm the site and run the armed
-//     pipeline;
+//     path;
 //  2. otherwise run the ownership filter (its state must evolve
 //     exactly as in the unsampled run — it is the re-arm signal):
 //     - owned→shared transition: the first cross-thread contact is
-//     never suppressed — re-arm and deliver (the Contact callback
+//     never suppressed — re-arm and ship (the Contact callback
 //     has already re-armed every other site that touched the
 //     location and armed the location itself);
 //     - absorbed (still owned): identical to the unsampled pipeline,
@@ -56,182 +53,73 @@ import (
 	"racedet/internal/rt/ownership"
 )
 
-// sampledAccess is the serial detector's per-access pipeline when
-// throttling is on (d.sites != nil). It never mutates *a.
-func (d *Detector) sampledAccess(a *event.Access) {
-	d.stats.Accesses++
-	loc := a.Loc
-	if d.opts.FieldsMerged && loc.Slot >= event.ArraySlot {
-		loc.Slot = 0
-	}
-	t := a.Thread
-	id := d.sites.SiteID(a.Pos, a.Kind)
-	wr := a.Kind == event.Write
-
-	if d.sites.Demoted(id) {
-		switch {
-		case d.sites.ConsumeArmed(loc):
-			d.sites.Rearm(id)
-		default:
-			// Counting-only stub: ownership runs, the trie does not.
-			forward, becameShared := d.owner.Filter(t, loc)
-			switch {
-			case becameShared:
-				if !d.opts.NoCache {
-					d.cache.EvictLocation(loc)
-				}
-				d.sites.Rearm(id)
-				d.sites.ConsumeArmed(loc) // Contact armed it; this is the ship
-				d.shipFromStub(a, loc, t, wr)
-			case !forward:
-				d.stats.OwnerSkips++
-				d.sites.Skipped()
-			case d.owner.StateOf(loc) != ownership.Shared:
-				d.shipFromStub(a, loc, t, wr)
-			case d.sites.Touch(id, loc, t, wr):
-				d.sites.Suppress()
-			default:
-				// Racy-shaped against suppressed or shipped history: the
-				// location is permanently unsuppressible (the shipped bits
-				// only grow), so the site stays demoted and repeats ride
-				// the cache exactly as in the unsampled pipeline. No
-				// re-arm: the forwarded event itself completes the pair.
-				if !d.opts.NoCache && d.cache.Lookup(t, loc, a.Kind) {
-					d.stats.CacheHits++
-					d.sites.Skipped()
-					return
-				}
-				d.shipFromStub(a, loc, t, wr)
-			}
+// sampledAccess is the per-access path when throttling is on
+// (f.sites != nil). It never mutates *a.
+func (f *front) sampledAccess(a *event.Access) {
+	loc := f.mergeLoc(a.Loc)
+	id := f.sites.SiteID(a.Pos, a.Kind)
+	if f.sites.Demoted(id) {
+		if !f.sites.ConsumeArmed(loc) {
+			f.stubAccess(a, loc, id)
 			return
 		}
+		f.sites.Rearm(id)
 	}
-
-	// Armed pipeline: cache → ownership → trie, outcome observed.
-	if !d.opts.NoCache && d.cache.Lookup(t, loc, a.Kind) {
-		d.stats.CacheHits++
-		d.sites.Observe(id, false)
-		return
+	// Armed: the unsampled filter, outcome observed.
+	shipped := f.filter(a.Thread, loc, a.Kind)
+	if shipped {
+		f.shipSampled(a, loc)
 	}
-	forward, becameShared := d.owner.Filter(t, loc)
-	if becameShared && !d.opts.NoCache {
-		d.cache.EvictLocation(loc)
-	}
-	if !forward {
-		d.stats.OwnerSkips++
-		if !d.opts.NoCache {
-			top, ok := d.locks.Top(t)
-			d.cache.Insert(t, loc, a.Kind, top, ok)
-		}
-		d.sites.Observe(id, false)
-		return
-	}
-	d.sites.RecordShip(loc, t, wr, len(a.Locks) == 0)
-	d.deliver(*a, loc)
-	if !d.opts.NoCache {
-		top, ok := d.locks.Top(t)
-		d.cache.Insert(t, loc, a.Kind, top, ok)
-	}
-	d.sites.Observe(id, true)
+	f.sites.Observe(id, shipped)
 }
 
-// shipFromStub forwards an access the demoted stub may not suppress:
-// record it in the shipped history, deliver it to the trie, and insert
-// it into the per-thread cache (the unsampled pipeline caches every
-// delivered access; the stub must too, or recurring racy-shaped
-// traffic re-ships on every repeat).
-func (d *Detector) shipFromStub(a *event.Access, loc event.Loc, t event.ThreadID, wr bool) {
-	d.sites.RecordShip(loc, t, wr, len(a.Locks) == 0)
-	d.deliver(*a, loc)
-	if !d.opts.NoCache {
-		top, ok := d.locks.Top(t)
-		d.cache.Insert(t, loc, a.Kind, top, ok)
-	}
-	d.sites.ForcedShip()
-}
-
-// sampledAccess is the sharded router's twin of the serial pipeline
-// above; survivors are routed to the owning shard instead of processed
-// inline. Any change here must be mirrored there.
-func (s *Sharded) sampledAccess(a *event.Access) {
-	s.stats.Accesses++
-	loc := a.Loc
-	if s.opts.FieldsMerged && loc.Slot >= event.ArraySlot {
-		loc.Slot = 0
-	}
+// stubAccess is a demoted site's counting-only stub: ownership runs,
+// the trie sees only what the stub may not suppress.
+func (f *front) stubAccess(a *event.Access, loc event.Loc, id int32) {
+	f.stats.Accesses++
 	t := a.Thread
-	id := s.sites.SiteID(a.Pos, a.Kind)
-	wr := a.Kind == event.Write
-
-	if s.sites.Demoted(id) {
-		switch {
-		case s.sites.ConsumeArmed(loc):
-			s.sites.Rearm(id)
-		default:
-			forward, becameShared := s.owner.Filter(t, loc)
-			switch {
-			case becameShared:
-				if !s.opts.NoCache {
-					s.cache.EvictLocation(loc)
-				}
-				s.sites.Rearm(id)
-				s.sites.ConsumeArmed(loc)
-				s.shipFromStub(a, loc, t, wr)
-			case !forward:
-				s.stats.OwnerSkips++
-				s.sites.Skipped()
-			case s.owner.StateOf(loc) != ownership.Shared:
-				s.shipFromStub(a, loc, t, wr)
-			case s.sites.Touch(id, loc, t, wr):
-				s.sites.Suppress()
-			default:
-				// Racy-shaped: stays demoted, cache absorbs repeats (see
-				// the serial twin for the rationale).
-				if !s.opts.NoCache && s.cache.Lookup(t, loc, a.Kind) {
-					s.stats.CacheHits++
-					s.sites.Skipped()
-					return
-				}
-				s.shipFromStub(a, loc, t, wr)
-			}
-			return
+	forward, becameShared := f.owner.Filter(t, loc)
+	switch {
+	case becameShared:
+		if !f.opts.NoCache {
+			f.cache.EvictLocation(loc)
 		}
+		f.sites.Rearm(id)
+		f.sites.ConsumeArmed(loc) // Contact armed it; this is the ship
+		f.shipFromStub(a, loc)
+	case !forward:
+		f.stats.OwnerSkips++
+		f.sites.Skipped()
+	case f.owner.StateOf(loc) != ownership.Shared:
+		f.shipFromStub(a, loc)
+	case f.sites.Touch(id, loc, t, a.Kind == event.Write):
+		f.sites.Suppress()
+	// Racy-shaped against suppressed or shipped history: the location
+	// is permanently unsuppressible (the shipped bits only grow), so
+	// the site stays demoted and repeats ride the cache exactly as in
+	// the unsampled pipeline. No re-arm: the forwarded event itself
+	// completes the pair.
+	case !f.opts.NoCache && f.cache.Lookup(t, loc, a.Kind):
+		f.stats.CacheHits++
+		f.sites.Skipped()
+	default:
+		f.shipFromStub(a, loc)
 	}
-
-	if !s.opts.NoCache && s.cache.Lookup(t, loc, a.Kind) {
-		s.stats.CacheHits++
-		s.sites.Observe(id, false)
-		return
-	}
-	forward, becameShared := s.owner.Filter(t, loc)
-	if becameShared && !s.opts.NoCache {
-		s.cache.EvictLocation(loc)
-	}
-	if !forward {
-		s.stats.OwnerSkips++
-		if !s.opts.NoCache {
-			top, ok := s.locks.Top(t)
-			s.cache.Insert(t, loc, a.Kind, top, ok)
-		}
-		s.sites.Observe(id, false)
-		return
-	}
-	s.sites.RecordShip(loc, t, wr, len(a.Locks) == 0)
-	s.route(*a, loc)
-	if !s.opts.NoCache {
-		top, ok := s.locks.Top(t)
-		s.cache.Insert(t, loc, a.Kind, top, ok)
-	}
-	s.sites.Observe(id, true)
 }
 
-// shipFromStub is the sharded twin of the serial helper above.
-func (s *Sharded) shipFromStub(a *event.Access, loc event.Loc, t event.ThreadID, wr bool) {
-	s.sites.RecordShip(loc, t, wr, len(a.Locks) == 0)
-	s.route(*a, loc)
-	if !s.opts.NoCache {
-		top, ok := s.locks.Top(t)
-		s.cache.Insert(t, loc, a.Kind, top, ok)
-	}
-	s.sites.ForcedShip()
+// shipFromStub ships an access the demoted stub may not suppress.
+func (f *front) shipFromStub(a *event.Access, loc event.Loc) {
+	f.shipSampled(a, loc)
+	f.sites.ForcedShip()
+}
+
+// shipSampled records a survivor in the per-location shipped history
+// and delivers it. The unlocked bit comes from the lock tracker, not
+// from a.Locks: producers leave that field empty, and only the lockset
+// the trie will see under-approximates lock-freedom, as RecordShip
+// requires.
+func (f *front) shipSampled(a *event.Access, loc event.Loc) {
+	t := a.Thread
+	f.sites.RecordShip(loc, t, a.Kind == event.Write, len(f.locks.Held(t)) == 0)
+	f.deliver(a, loc)
 }

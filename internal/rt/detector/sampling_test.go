@@ -2,6 +2,7 @@ package detector
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"racedet/internal/faultinject"
@@ -258,7 +259,7 @@ func TestSampledSupervisedRecovery(t *testing.T) {
 		faulted.JournalCap = 32
 		faulted.RetryBudget = 3
 		// The panic index must land below the per-shard shipped count,
-		// which throttling (now with proven-race suppression) keeps small.
+		// which throttling keeps small.
 		faulted.Faults = faultinject.PanicPlan(seed, 4, 8)
 		sh := NewSharded(faulted, 4, 16)
 		feedRandomSited(sh, seed, 3000)
@@ -306,5 +307,52 @@ func TestSamplingIgnoredUnderNoOwnership(t *testing.T) {
 	}
 	if _, on := samplingConfig(Options{SampleBudget: 0.5}); !on {
 		t.Fatal("budget alone must enable sampling")
+	}
+}
+
+// TestSamplingMixedLockSiteKeepsRace: one write site reached both
+// under a lock and without one. The locked writes by T1 and T2 ship
+// and demote the site; T3's later unlocked write from the same demoted
+// site races with them and must still ship. The shipped history must
+// record the locks the shipped writes actually held — treating them as
+// lock-free would "prove" the location racy and suppress the one
+// access that completes the race.
+func TestSamplingMixedLockSiteKeepsRace(t *testing.T) {
+	feed := func(s event.Sink) {
+		loc := event.Loc{Obj: 100, Slot: 0}
+		site := token.Pos{File: "mixed.mj", Line: 7, Col: 3}
+		write := func(th event.ThreadID) {
+			s.Access(event.Access{Loc: loc, Thread: th, Kind: event.Write, Pos: site, FieldName: "M.f"})
+		}
+		s.ThreadStarted(0, event.NoThread)
+		for th := event.ThreadID(1); th <= 3; th++ {
+			s.ThreadStarted(th, 0)
+		}
+		for i := 0; i < 20; i++ {
+			for _, th := range []event.ThreadID{1, 2} {
+				s.MonitorEnter(th, 500, 1)
+				write(th)
+				s.MonitorExit(th, 500, 0)
+			}
+		}
+		write(3)
+	}
+	full := New(Options{})
+	feed(full)
+	want := reportStrings(full)
+	if len(want) != 1 || !strings.Contains(want[0], "WRITE by T3") {
+		t.Fatalf("unsampled run must report T3's unlocked write, got %v", want)
+	}
+	opts := Options{SampleK: 4}
+	serial := New(opts)
+	feed(serial)
+	compareReports(t, "mixed-lock site, serial sampled", reportStrings(serial), want)
+	for _, shards := range []int{1, 2, 8} {
+		sh := NewSharded(opts, shards, 16)
+		feed(sh)
+		if err := sh.Err(); err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		compareReports(t, "mixed-lock site, sharded sampled", reportStrings(sh), want)
 	}
 }

@@ -1,30 +1,27 @@
 // Location-sharded parallel detection back end.
 //
-// The hot path is split by cost, not by layer symmetry. The router —
-// running on the interpreter's goroutine, as the event.Sink — owns
-// the cheap, high-hit-rate layers exactly as the serial detector
-// does: the per-thread access caches (§4, including the inlined
-// QuickCheck fast path) and the §7 ownership filter. Only accesses
-// that survive both filters — the minority that actually needs trie
-// work — are lockset-materialized, stamped with a global sequence
-// number, batched, and pushed over a bounded SPSC ring buffer to one
-// of N worker goroutines chosen by hash(ObjID, slot). Each worker
-// owns the trie slice for its share of the location space and nothing
-// else, so workers never share mutable state and no control messages
-// (lock releases, thread lifecycle) ever cross the rings: the cache
-// they would maintain lives upstream on the router.
+// Sharded is the serial detector's filter front end with a router as
+// its survivor sink. The front end — running on the interpreter's
+// goroutine, as the event.Sink — owns the cheap, high-hit-rate layers:
+// the per-thread access caches (§4, including the inlined QuickCheck
+// fast path), the §7 ownership filter and the sampling throttle. Only
+// survivors — the minority that actually needs trie work — reach the
+// router, already lockset-materialized and stamped with their
+// detection-order sequence number. The router batches them and pushes
+// them over a bounded SPSC ring buffer to one of N worker goroutines
+// chosen by hash(ObjID, slot). Each worker runs the shared trie stage
+// for its share of the location space and nothing else, so workers
+// never share mutable state and no control messages (lock releases,
+// thread lifecycle) ever cross the rings.
 //
-// Determinism contract: the router runs the cache and ownership
-// layers synchronously in event order, so their evolution — hits,
-// evictions, ownership transitions, stats — is bit-identical to the
-// serial back end's, and the stream of trie-bound accesses is exactly
-// the stream the serial trie processes. A location's accesses all
-// hash to the same shard and arrive in stream order, so every
-// per-location trie evolution is identical too. Reports are recorded
-// with their access's sequence number and merged in sequence order,
-// which is exactly the serial detection order; the merged reports are
-// byte-identical to the serial ones (asserted corpus-wide by the
-// differential tests).
+// Determinism contract: the front end is the serial detector's, so
+// the stream of trie-bound accesses is exactly the stream the serial
+// trie processes. A location's accesses all hash to the same shard and
+// arrive in stream order, so every per-location trie evolution is
+// identical too. Reports keep their access's sequence number and are
+// merged in sequence order, which is exactly the serial detection
+// order; the merged reports are byte-identical to the serial ones
+// (asserted corpus-wide by the differential tests).
 //
 // Allocation discipline: batch buffers are recycled. Each worker
 // returns processed buffers to the router over a second SPSC ring
@@ -34,11 +31,10 @@
 // a package-level pool shared across runs, so steady-state routing
 // allocates nothing.
 //
-// Bounded-memory options: MaxCacheThreads and MaxOwnerLocations now
-// apply to the single router-side cache and ownership table, exactly
-// as in the serial back end. Only MaxTrieNodes is still split evenly
-// across shards; bounded-trie collapse decisions then depend on
-// per-shard occupancy, so that configuration trades the
+// Bounded-memory options: MaxCacheThreads and MaxOwnerLocations bound
+// the front end's single cache and ownership table. Only MaxTrieNodes
+// is split evenly across shards; bounded-trie collapse decisions then
+// depend on per-shard occupancy, so that configuration trades the
 // byte-equivalence guarantee for the usual "strictly over-reports,
 // never misses" degradation.
 package detector
@@ -46,14 +42,12 @@ package detector
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 
-	"racedet/internal/rt/cache"
 	"racedet/internal/rt/event"
 	"racedet/internal/rt/journal"
-	"racedet/internal/rt/ownership"
-	"racedet/internal/rt/sitestate"
 	"racedet/internal/rt/spsc"
 	"racedet/internal/rt/trie"
 )
@@ -83,8 +77,8 @@ var (
 )
 
 // shardAccess is one routed access: the event — lockset already
-// materialized by the router — plus the global order stamp for the
-// deterministic report merge.
+// materialized by the front end — plus its detection-order stamp for
+// the deterministic report merge.
 type shardAccess struct {
 	a   event.Access
 	seq uint64
@@ -92,7 +86,7 @@ type shardAccess struct {
 
 // shardBatch is the unit that crosses a shard ring: a run of routed
 // accesses in stream order. (All control events are absorbed by the
-// router's cache and lock tracker; only access batches ever reach a
+// front end's cache and lock tracker; only access batches ever reach a
 // worker.)
 type shardBatch = []shardAccess
 
@@ -124,13 +118,6 @@ func putBatch(b shardBatch) {
 	batchPool.Put(b[:0])
 }
 
-// shardReport is a worker-side report stamped with the triggering
-// access's sequence number for the deterministic merge.
-type shardReport struct {
-	rep Report
-	seq uint64
-}
-
 // worker owns one shard's trie slice. All fields are goroutine-local;
 // the router communicates only through the two rings.
 type worker struct {
@@ -139,12 +126,8 @@ type worker struct {
 	opts    Options
 	ring    *spsc.Ring[shardBatch] // router → worker: routed batches
 	free    *spsc.Ring[shardBatch] // worker → router: recycled buffers
-	trie    history
-
-	reports     []shardReport
-	reportedLoc map[event.Loc]struct{}
-	reportedObj map[event.ObjID]struct{}
-	err         error
+	stage   trieStage
+	err     error
 
 	// Supervision state (see supervise.go); journal is nil when
 	// Options.JournalCap == 0 and the worker runs unsupervised.
@@ -155,30 +138,19 @@ type worker struct {
 	degraded *degradedShard // non-nil once the shard fell back to Eraser
 }
 
-// Sharded is the parallel Backend. It implements event.Sink (and
-// BatchSink, and the interpreter's QuickCheck fast path) on the
-// producer side; results become available once the event stream ends
-// (the first result accessor finalizes the run).
+// Sharded is the parallel Backend: the filter front end (event.Sink,
+// BatchSink and the interpreter's QuickCheck fast path, on the producer
+// side) with the router as its survivor sink. Results become available
+// once the event stream ends (the first result accessor finalizes the
+// run).
 type Sharded struct {
-	opts    Options
+	front
 	workers []*worker
 	pending []shardBatch // per-shard router-side batch buffers
 	batch   int
 
-	intern *event.Interner
-	locks  *event.LockTracker
-	cache  *cache.Cache
-	owner  *ownership.Table
-	sites  *sitestate.Table // non-nil iff per-site throttling is on
-	seq    uint64
-
-	// Router-side filter accounting: Accesses/CacheHits/OwnerSkips are
-	// counted here, in exactly the serial order, so they (and the
-	// cache/ownership stats) match the serial back end bit for bit.
-	stats Stats
-
 	// Router-side backpressure accounting (producer goroutine only
-	// until finalize merges it into stats.Recovery).
+	// until finalize merges it into the result's Recovery stats).
 	depthHigh []int // per-shard ring high-water mark, in batches
 	dropped   uint64
 	droppedEv uint64
@@ -189,6 +161,7 @@ type Sharded struct {
 
 	reports []Report
 	objs    []event.ObjID
+	merged  Stats
 	nodes   int
 	locs    int
 	err     error
@@ -205,30 +178,13 @@ func NewSharded(opts Options, n, batchSize int) *Sharded {
 	if batchSize <= 0 {
 		batchSize = event.DefaultBatchSize
 	}
-	it := event.NewInterner()
 	s := &Sharded{
-		opts:      opts,
+		front:     newFront(opts),
 		pending:   make([]shardBatch, n),
 		batch:     batchSize,
-		intern:    it,
-		locks:     event.NewLockTrackerInterned(it),
-		cache:     cache.New(),
-		owner:     ownership.New(),
 		depthHigh: make([]int, n),
 	}
-	if opts.MaxCacheThreads > 0 {
-		s.cache = cache.NewBounded(opts.MaxCacheThreads)
-	}
-	if opts.MaxOwnerLocations > 0 {
-		s.owner = ownership.NewBounded(opts.MaxOwnerLocations)
-	}
-	if sc, on := samplingConfig(opts); on {
-		// The throttling table lives router-side with the other filter
-		// layers, so its evolution is serial-order deterministic and
-		// untouched by worker restarts.
-		s.sites = sitestate.New(sc)
-		s.owner.SetOnContact(s.sites.Contact)
-	}
+	s.out = s
 	depth := opts.QueueDepth
 	if depth <= 0 {
 		depth = DefaultQueueDepth
@@ -259,32 +215,19 @@ func NewSharded(opts Options, n, batchSize int) *Sharded {
 // freshState (re)builds the worker's empty trie slice; used at
 // construction and when a restart finds no checkpoint to restore.
 func (w *worker) freshState() {
-	w.reportedLoc = make(map[event.Loc]struct{})
-	w.reportedObj = make(map[event.ObjID]struct{})
-	w.reports = nil
+	// Worker-local interner: workers must never touch the front end's
+	// intern table, which the producer goroutine keeps mutating.
+	h := newHistory(w.opts, splitBudget(w.opts.MaxTrieNodes, w.nshards), event.NewInterner())
+	w.stage = newTrieStage(h, w.opts.ReportAll)
 	w.events = 0
-	switch {
-	case w.opts.PackedTrie:
-		w.trie = trie.NewPacked()
-	case w.opts.NoTBot:
-		w.trie = trie.NewNoTBot()
-	case w.opts.MaxTrieNodes > 0:
-		w.trie = trie.NewBounded(splitBudget(w.opts.MaxTrieNodes, w.nshards))
-	default:
-		w.trie = trie.New()
-	}
-	if st, ok := w.trie.(interface {
-		SetInterner(*event.Interner)
-	}); ok {
-		// Worker-local interner: workers must never touch the router's
-		// intern table, which the producer goroutine keeps mutating.
-		st.SetInterner(event.NewInterner())
-	}
 }
 
 // splitBudget divides a global memory bound across n shards, never
-// below 1 per shard.
+// below 1 per shard (0 stays unbounded).
 func splitBudget(total, n int) int {
+	if total <= 0 {
+		return 0
+	}
 	b := total / n
 	if b < 1 {
 		b = 1
@@ -349,9 +292,7 @@ func (w *worker) recycle(batch shardBatch) {
 	}
 }
 
-// access replicates the trie stage of Detector.Access; the router has
-// already run the cache and ownership layers and materialized the
-// lock environment.
+// access runs one routed access through the shard's trie stage.
 func (w *worker) access(sa shardAccess) {
 	w.events++
 	if f := w.opts.Faults; f != nil {
@@ -360,31 +301,7 @@ func (w *worker) access(sa shardAccess) {
 		// exactly what the supervision tests need.
 		f.WorkerEvent(w.idx, w.events)
 	}
-	race, info := w.trie.Process(sa.a)
-	if race {
-		w.report(sa, info)
-	}
-}
-
-func (w *worker) report(sa shardAccess, info trie.RaceInfo) {
-	if !w.opts.ReportAll {
-		if _, dup := w.reportedLoc[sa.a.Loc]; dup {
-			return
-		}
-	}
-	w.reportedLoc[sa.a.Loc] = struct{}{}
-	w.reportedObj[sa.a.Loc.Obj] = struct{}{}
-	// ObjDesc is filled at merge time: DescribeObj reads the
-	// interpreter's heap, which is mutating while workers run.
-	w.reports = append(w.reports, shardReport{
-		rep: Report{
-			Access:      sa.a,
-			PriorThread: info.PriorThread,
-			PriorLocks:  info.PriorLocks,
-			PriorKind:   info.PriorKind,
-		},
-		seq: sa.seq,
-	})
+	w.stage.ship(sa.a, sa.seq)
 }
 
 // shardOf hashes a location to a worker, using the same mixing
@@ -395,30 +312,9 @@ func shardOf(loc event.Loc, n int) int {
 }
 
 // ---------------------------------------------------------------------------
-// producer side (event.Sink, router)
+// router (the front end's survivor sink)
 
 var _ event.BatchSink = (*Sharded)(nil)
-
-// QuickCheck is the inlined §4 fast path, identical to the serial
-// detector's: a cache hit absorbs the access before the event is even
-// materialized, so the parallel back end pays routing cost only for
-// accesses that need trie work.
-func (s *Sharded) QuickCheck(t event.ThreadID, loc event.Loc, kind event.Kind) bool {
-	// Off under sampling, as in the serial detector: the throttling
-	// layer needs the complete stream.
-	if s.opts.NoCache || s.sites != nil {
-		return false
-	}
-	if s.opts.FieldsMerged && loc.Slot >= event.ArraySlot {
-		loc.Slot = 0
-	}
-	if s.cache.Lookup(t, loc, kind) {
-		s.stats.Accesses++
-		s.stats.CacheHits++
-		return true
-	}
-	return false
-}
 
 // acquireBatch hands the router an empty buffer for shard i:
 // freelist first (a buffer the worker already processed), then the
@@ -460,143 +356,16 @@ func (s *Sharded) flushShard(i int) {
 	s.pending[i] = nil
 }
 
-// filter is the router-side front half of the pipeline — stats, field
-// merging, cache lookup, ownership — shared by Access and AccessBatch.
-// Order of operations (lookup → ownership/evict → insert) matches
-// Detector.filter exactly, so cache state, stats, and the trie-bound
-// stream are bit-identical to the serial back end's.
-func (s *Sharded) filter(t event.ThreadID, loc event.Loc, kind event.Kind) (event.Loc, bool) {
-	s.stats.Accesses++
-	// FieldsMerged collapses instance fields and the array pseudo-slot
-	// (Slot >= ArraySlot) to one location per object; static slots
-	// (Slot <= StaticSlotBase) stay distinct, as in the paper.
-	if s.opts.FieldsMerged && loc.Slot >= event.ArraySlot {
-		loc.Slot = 0
-	}
-
-	// 1. Cache.
-	if !s.opts.NoCache {
-		if s.cache.Lookup(t, loc, kind) {
-			s.stats.CacheHits++
-			return loc, false
-		}
-	}
-
-	// 2. Ownership.
-	if !s.opts.NoOwnership {
-		forward, becameShared := s.owner.Filter(t, loc)
-		if becameShared && !s.opts.NoCache {
-			s.cache.EvictLocation(loc)
-		}
-		if !forward {
-			s.stats.OwnerSkips++
-			if !s.opts.NoCache {
-				top, ok := s.locks.Top(t)
-				s.cache.Insert(t, loc, kind, top, ok)
-			}
-			return loc, false
-		}
-	}
-	return loc, true
-}
-
-// route sends a filter survivor to the owning shard's trie:
-// materialize the (interned) lockset, stamp the detection order,
-// append to the shard's pending batch, and insert into the cache so
-// equal-or-stronger accesses short-circuit (same order as
-// Detector.deliver).
-func (s *Sharded) route(a event.Access, loc event.Loc) {
-	s.stats.Shipped++
-	a.Loc = loc
-	a.Locks = s.locks.Held(a.Thread) // immutable canonical slice
-	a.LockID = s.locks.HeldID(a.Thread)
-	s.seq++
-	i := shardOf(loc, len(s.workers))
+// ship implements survivorSink — the router: append the survivor to
+// its shard's pending batch, flushing the batch when it is full.
+func (s *Sharded) ship(a event.Access, seq uint64) {
+	i := shardOf(a.Loc, len(s.workers))
 	if s.pending[i] == nil {
 		s.pending[i] = s.acquireBatch(i)
 	}
-	s.pending[i] = append(s.pending[i], shardAccess{a: a, seq: s.seq})
+	s.pending[i] = append(s.pending[i], shardAccess{a: a, seq: seq})
 	if len(s.pending[i]) >= s.batch {
 		s.flushShard(i)
-	}
-
-	if !s.opts.NoCache {
-		top, ok := s.locks.Top(a.Thread)
-		s.cache.Insert(a.Thread, loc, a.Kind, top, ok)
-	}
-}
-
-// Access implements event.Sink: the serial filter pipeline runs here
-// on the router, and only survivors are routed.
-func (s *Sharded) Access(a event.Access) {
-	if s.sites != nil {
-		s.sampledAccess(&a)
-		return
-	}
-	loc, forward := s.filter(a.Thread, a.Loc, a.Kind)
-	if forward {
-		s.route(a, loc)
-	}
-}
-
-// AccessBatch implements event.BatchSink: the Batcher's buffer flushes
-// straight through the filter into the pending shard batches, with the
-// per-element event copy paid only for filter survivors. The batch
-// slice is never retained or mutated.
-func (s *Sharded) AccessBatch(batch []event.Access) {
-	if s.sites != nil {
-		for i := range batch {
-			s.sampledAccess(&batch[i])
-		}
-		return
-	}
-	for i := range batch {
-		a := &batch[i]
-		loc, forward := s.filter(a.Thread, a.Loc, a.Kind)
-		if forward {
-			s.route(*a, loc)
-		}
-	}
-}
-
-// ThreadStarted implements event.Sink.
-func (s *Sharded) ThreadStarted(child, parent event.ThreadID) {
-	if !s.opts.NoPseudoLocks {
-		s.locks.ThreadStarted(child, parent)
-	}
-}
-
-// ThreadFinished implements event.Sink. Purely router-side: the only
-// consumer of thread lifecycle downstream of the lock tracker is the
-// access cache, which lives here.
-func (s *Sharded) ThreadFinished(t event.ThreadID) {
-	if !s.opts.NoPseudoLocks {
-		s.locks.ThreadFinished(t)
-	}
-	s.cache.ThreadFinished(t)
-}
-
-// Joined implements event.Sink.
-func (s *Sharded) Joined(joiner, joinee event.ThreadID) {
-	if !s.opts.NoPseudoLocks {
-		s.locks.Joined(joiner, joinee)
-	}
-}
-
-// MonitorEnter implements event.Sink. Lock acquisition only changes
-// the router-side lock environment; workers see it through the
-// locksets attached to later accesses.
-func (s *Sharded) MonitorEnter(t event.ThreadID, lock event.ObjID, depth int) {
-	s.locks.MonitorEnter(t, lock, depth)
-}
-
-// MonitorExit implements event.Sink. A full release evicts the cache
-// entries guarded by the lock — a synchronous router-side operation
-// now that the cache lives upstream of the rings.
-func (s *Sharded) MonitorExit(t event.ThreadID, lock event.ObjID, depth int) {
-	s.locks.MonitorExit(t, lock, depth)
-	if depth == 0 && !s.opts.NoCache {
-		s.cache.LockReleased(t, lock)
 	}
 }
 
@@ -624,21 +393,15 @@ func (s *Sharded) doFinalize() {
 	}
 	s.wg.Wait()
 
-	var all []shardReport
 	var errs []error
 	objSet := make(map[event.ObjID]struct{})
-	rec := &s.stats.Recovery
+	// The filter layers live in the front end, so its stats are the
+	// serial back end's exactly.
+	s.merged = s.filterStats()
+	rec := &s.merged.Recovery
 	rec.DroppedBatches = s.dropped
 	rec.DroppedEvents = s.droppedEv
 	rec.BackpressureStalls = s.stalls
-	// The filter layers live on the router; their stats are already in
-	// s.stats and match the serial back end exactly.
-	s.stats.OwnerLocations = s.owner.Locations()
-	s.stats.OwnerOverflows = s.owner.Overflows()
-	s.stats.Cache = s.cache.Stats()
-	if s.sites != nil {
-		s.stats.Sample = s.sites.Stats()
-	}
 	for i, w := range s.workers {
 		if w.err != nil {
 			errs = append(errs, w.err)
@@ -658,13 +421,11 @@ func (s *Sharded) doFinalize() {
 			rec.Journaled += js.Appended
 			rec.Replayed += js.Replayed
 		}
-		all = append(all, w.reports...)
-		for o := range w.reportedObj {
-			objSet[o] = struct{}{}
-		}
-		addTrieStats(&s.stats.Trie, w.trie.Stats())
-		s.nodes += w.trie.NodeCount()
-		s.locs += w.trie.LocationCount()
+		s.reports = append(s.reports, w.stage.reports...)
+		maps.Copy(objSet, w.stage.reportedObj)
+		addTrieStats(&s.merged.Trie, w.stage.hist.Stats())
+		s.nodes += w.stage.hist.NodeCount()
+		s.locs += w.stage.hist.LocationCount()
 		// Drain the freelist into the cross-run pool: the next run's
 		// router starts with warm buffers instead of fresh allocations.
 		for {
@@ -679,19 +440,13 @@ func (s *Sharded) doFinalize() {
 	// lost several shards should say so.
 	s.err = errors.Join(errs...)
 	// Sequence order is the serial back end's detection order.
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-	s.reports = make([]Report, len(all))
-	for i, sr := range all {
-		s.reports[i] = sr.rep
-		if s.opts.DescribeObj != nil {
-			s.reports[i].ObjDesc = s.opts.DescribeObj(sr.rep.Access.Loc.Obj)
+	sort.Slice(s.reports, func(i, j int) bool { return s.reports[i].seq < s.reports[j].seq })
+	if s.opts.DescribeObj != nil {
+		for i := range s.reports {
+			s.reports[i].ObjDesc = s.opts.DescribeObj(s.reports[i].Access.Loc.Obj)
 		}
 	}
-	s.objs = make([]event.ObjID, 0, len(objSet))
-	for o := range objSet {
-		s.objs = append(s.objs, o)
-	}
-	sort.Slice(s.objs, func(i, j int) bool { return s.objs[i] < s.objs[j] })
+	s.objs = sortedObjs(objSet)
 }
 
 func addTrieStats(dst *trie.Stats, src trie.Stats) {
@@ -721,11 +476,11 @@ func (s *Sharded) RacyObjects() []event.ObjID {
 	return s.objs
 }
 
-// Stats implements Backend: router-side filter counters plus the trie
+// Stats implements Backend: the front end's filter counters plus the trie
 // counters aggregated across shards.
 func (s *Sharded) Stats() Stats {
 	s.finalize()
-	return s.stats
+	return s.merged
 }
 
 // TrieNodeCount implements Backend.

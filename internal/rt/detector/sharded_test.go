@@ -154,37 +154,44 @@ func TestShardedBatchedProducer(t *testing.T) {
 }
 
 // TestShardedStatsMatchSerial pins the strongest consequence of the
-// router-side filter design: because the cache and ownership layers
-// run synchronously on the router in exactly the serial order, every
-// filter counter — and, since the trie-bound stream is identical, the
-// summed trie counters too — matches the serial back end bit for bit.
+// shared front end: both back ends run the same filter layers in the
+// same order, so every filter counter — and, since the trie-bound
+// stream is identical, the summed trie counters too — matches the
+// serial back end bit for bit, for every option the front end branches
+// on. (MaxTrieNodes is left out: the sharded back end splits that
+// budget by design.)
 func TestShardedStatsMatchSerial(t *testing.T) {
-	serial := New(Options{})
-	feedRandom(serial, 1, 2000)
-	want := serial.Stats()
-
-	sh := NewSharded(Options{}, 3, 16)
-	feedRandom(sh, 1, 2000)
-	got := sh.Stats()
-
-	if got.Accesses != want.Accesses || got.CacheHits != want.CacheHits ||
-		got.OwnerSkips != want.OwnerSkips {
-		t.Fatalf("filter counters diverge from serial:\nsharded: %+v\nserial:  %+v", got, want)
+	optSets := map[string]Options{
+		"full":         {},
+		"nocache":      {NoCache: true},
+		"noownership":  {NoOwnership: true},
+		"merged":       {FieldsMerged: true},
+		"ownerbound":   {MaxOwnerLocations: 4},
+		"cachethreads": {MaxCacheThreads: 1},
+		"sampled":      {SampleK: 4},
 	}
-	if got.Cache != want.Cache {
-		t.Fatalf("cache stats diverge from serial:\nsharded: %+v\nserial:  %+v", got.Cache, want.Cache)
-	}
-	if got.OwnerLocations != want.OwnerLocations || got.OwnerOverflows != want.OwnerOverflows {
-		t.Fatalf("ownership stats diverge from serial:\nsharded: %+v\nserial:  %+v", got, want)
-	}
-	if got.Trie != want.Trie {
-		t.Fatalf("summed trie stats diverge from serial:\nsharded: %+v\nserial:  %+v", got.Trie, want.Trie)
-	}
-	if sh.TrieNodeCount() != serial.TrieNodeCount() {
-		t.Fatalf("trie nodes: sharded %d, serial %d", sh.TrieNodeCount(), serial.TrieNodeCount())
-	}
-	if sh.TrieLocationCount() != serial.TrieLocationCount() {
-		t.Fatalf("trie locations: sharded %d, serial %d", sh.TrieLocationCount(), serial.TrieLocationCount())
+	for name, opts := range optSets {
+		serial := New(opts)
+		feedRandomSited(serial, 1, 2000)
+		want := serial.Stats()
+		if opts.SampleK > 0 && want.Sample.Demotions == 0 {
+			t.Fatalf("%s: scenario never demotes a site", name)
+		}
+		for _, shards := range []int{1, 2, 8} {
+			sh := NewSharded(opts, shards, 16)
+			feedRandomSited(sh, 1, 2000)
+			got := sh.Stats()
+			got.Recovery = RecoveryStats{}
+			if got != want {
+				t.Fatalf("%s/%dshards: stats diverge from serial:\nsharded: %+v\nserial:  %+v", name, shards, got, want)
+			}
+			if sh.TrieNodeCount() != serial.TrieNodeCount() {
+				t.Fatalf("%s/%dshards: trie nodes: sharded %d, serial %d", name, shards, sh.TrieNodeCount(), serial.TrieNodeCount())
+			}
+			if sh.TrieLocationCount() != serial.TrieLocationCount() {
+				t.Fatalf("%s/%dshards: trie locations: sharded %d, serial %d", name, shards, sh.TrieLocationCount(), serial.TrieLocationCount())
+			}
+		}
 	}
 }
 

@@ -55,24 +55,20 @@ type FaultInjector interface {
 }
 
 // workerSnapshot is the checkpointed deep copy of a shard's state:
-// the trie slice plus the report set and the fault-hook event
-// counter. The cache and ownership layers live on the router and are
+// the trie stage (history and report set) plus the fault-hook event
+// counter. The cache and ownership layers live in the front end and are
 // untouched by worker faults; the lockset interner is deliberately
 // not part of the snapshot either — interning is content-addressed
 // and append-only, so entries added by a discarded attempt can never
 // change what a later Intern returns.
 type workerSnapshot struct {
-	trie   history
+	stage  trieStage
 	events uint64
-
-	reports     []shardReport
-	reportedLoc map[event.Loc]struct{}
-	reportedObj map[event.ObjID]struct{}
 }
 
 // cloneHistory deep-copies any of the trie implementations behind the
-// history interface. The constructors in freshState cover exactly
-// these types, so an unknown one is an internal invariant violation.
+// history interface. newHistory builds exactly these types, so an
+// unknown one is an internal invariant violation.
 func cloneHistory(h history) history {
 	switch t := h.(type) {
 	case *trie.Detector:
@@ -84,31 +80,9 @@ func cloneHistory(h history) history {
 	}
 }
 
-func cloneLocSet(m map[event.Loc]struct{}) map[event.Loc]struct{} {
-	n := make(map[event.Loc]struct{}, len(m))
-	for k := range m {
-		n[k] = struct{}{}
-	}
-	return n
-}
-
-func cloneObjSet(m map[event.ObjID]struct{}) map[event.ObjID]struct{} {
-	n := make(map[event.ObjID]struct{}, len(m))
-	for k := range m {
-		n[k] = struct{}{}
-	}
-	return n
-}
-
 // snapshot deep-copies the worker's state for a checkpoint.
 func (w *worker) snapshot() workerSnapshot {
-	return workerSnapshot{
-		trie:        cloneHistory(w.trie),
-		events:      w.events,
-		reports:     append([]shardReport(nil), w.reports...),
-		reportedLoc: cloneLocSet(w.reportedLoc),
-		reportedObj: cloneObjSet(w.reportedObj),
-	}
+	return workerSnapshot{stage: w.stage.clone(), events: w.events}
 }
 
 // handleSupervised is the supervised worker's per-batch protocol:
@@ -171,12 +145,8 @@ func (w *worker) restore() bool {
 	if !w.ckpt.Valid() {
 		return false
 	}
-	s := w.ckpt.State
-	w.trie = cloneHistory(s.trie)
-	w.events = s.events
-	w.reports = append([]shardReport(nil), s.reports...)
-	w.reportedLoc = cloneLocSet(s.reportedLoc)
-	w.reportedObj = cloneObjSet(s.reportedObj)
+	w.stage = w.ckpt.State.stage.clone()
+	w.events = w.ckpt.State.events
 	return true
 }
 
@@ -249,22 +219,19 @@ func (w *worker) degrade(cause error) {
 	_ = cause // the run completes; Stats.Recovery carries the story
 	w.degraded = &degradedShard{locs: make(map[event.Loc]*eraserLoc)}
 	if w.ckpt.Valid() {
-		s := w.ckpt.State
-		w.reports = append([]shardReport(nil), s.reports...)
-		w.reportedLoc = cloneLocSet(s.reportedLoc)
-		w.reportedObj = cloneObjSet(s.reportedObj)
+		w.stage.copyReports(&w.ckpt.State.stage)
 	}
 	w.journal.Replay(func(b shardBatch) { w.degraded.handle(w, b) })
 }
 
 // eraserLoc is one location's Eraser state: Virgin → Exclusive →
 // Shared / Shared-Modified with candidate-lockset intersection, as in
-// internal/rt/eraser but over the router-materialized locksets the
+// internal/rt/eraser but over the front-end-materialized locksets the
 // shard batches already carry. One deliberate deviation from classic
 // Eraser: the first access's lockset participates in the candidate
 // intersection (classic Eraser discards it to tolerate init
 // patterns). The stream a degraded shard sees has already been
-// deduplicated by the router's cache, so the redundant accesses that
+// deduplicated by the front end's cache, so the redundant accesses that
 // would normally drain the candidate set may never arrive; folding
 // the first lockset in errs toward reporting — strictly more reports,
 // never fewer, which is the degraded mode's contract.
@@ -330,22 +297,15 @@ func (g *degradedShard) access(w *worker, sa shardAccess) {
 	}
 
 	if ls.state == eraserSharedModified && len(ls.candidate) == 0 {
-		if _, dup := w.reportedLoc[a.Loc]; dup {
-			return
-		}
-		w.reportedLoc[a.Loc] = struct{}{}
-		w.reportedObj[a.Loc.Obj] = struct{}{}
 		// Eraser knows no prior access: report the conservative bottom
 		// (t⊥, empty lockset, write), the same shape a collapsed trie
-		// summary produces.
-		w.reports = append(w.reports, shardReport{
-			rep: Report{
-				Access:      a,
-				PriorThread: event.TBot,
-				PriorLocks:  event.Lockset{},
-				PriorKind:   event.Write,
-			},
-			seq: sa.seq,
-		})
+		// summary produces. Always one report per location.
+		w.stage.record(Report{
+			Access:      a,
+			PriorThread: event.TBot,
+			PriorLocks:  event.Lockset{},
+			PriorKind:   event.Write,
+			seq:         sa.seq,
+		}, false)
 	}
 }
