@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"text/tabwriter"
 
 	"racedet/internal/bench"
@@ -17,6 +18,17 @@ func loadReport(path string) (*bench.JSONReport, error) {
 	}
 	defer f.Close()
 	return bench.ReadJSON(f)
+}
+
+// parseConfigs turns a comma-separated -configs list into the gated set.
+func parseConfigs(list string) map[string]bool {
+	gated := map[string]bool{}
+	for _, c := range strings.Split(list, ",") {
+		if c = strings.TrimSpace(c); c != "" {
+			gated[c] = true
+		}
+	}
+	return gated
 }
 
 // row is one (benchmark, config) comparison between the two artifacts.

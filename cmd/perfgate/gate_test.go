@@ -138,3 +138,38 @@ func TestReadJSONRejectsEmpty(t *testing.T) {
 		t.Error("ReadJSON accepted malformed input")
 	}
 }
+
+// TestDefaultConfigsCoveredByBaseline keeps the default gated set and
+// the checked-in baseline from drifting apart: every default-gated
+// configuration has usable baseline cells, and gating the baseline
+// against itself finds nothing to complain about.
+func TestDefaultConfigsCoveredByBaseline(t *testing.T) {
+	base, err := loadReport("../../BENCH_PR10.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gated := parseConfigs(defaultConfigs)
+	rows, violations, warnings := compare(base, base, gated, 0.25)
+	if len(violations) != 0 {
+		t.Fatalf("baseline gated against itself: violations %v", violations)
+	}
+	for _, w := range warnings {
+		if strings.Contains(w, "cannot protect") {
+			t.Errorf("default gate: %s", w)
+		}
+	}
+	cells := map[string]int{}
+	for _, r := range rows {
+		if r.Gated {
+			cells[r.Config]++
+			if r.Ratio() != 1 {
+				t.Errorf("%s/%s: self-comparison ratio %.2f, want 1", r.Benchmark, r.Config, r.Ratio())
+			}
+		}
+	}
+	for c := range gated {
+		if cells[c] == 0 {
+			t.Errorf("default-gated config %q has no usable baseline cells", c)
+		}
+	}
+}

@@ -3,20 +3,15 @@
 // baseline (BENCH_PR10.json) and fails if any gated configuration got
 // more than -threshold slower (ns/op) on any benchmark.
 //
-// Only the configurations named by -configs are gated — by default the
-// serial Full detector, the sharded+batched back end, the
-// StaticAnalysis pseudo-configuration (compile-phase ns/op, so the
-// interprocedural analyses cannot silently blow up compile time),
-// ReplayFull (trace-replay throughput, so the record-once/analyze-many
-// path cannot silently lose its speed advantage), and
-// FullSampledAdaptive (the bounded-overhead production mode, so
-// throttling cannot silently lose its suppression), and
-// FullSampledPriors (the adaptive mode seeded with static
-// lock-discipline tiers, so the prior plumbing cannot silently become
-// a per-event tax). The remaining
-// configurations are reported but never fail the gate, because on a
-// noisy shared runner gating every ablation would make the gate cry
-// wolf.
+// Only the configurations named by -configs are gated — by default
+// (defaultConfigs) the serial Full detector, the sharded+batched back
+// end, the StaticAnalysis pseudo-configuration (compile-phase ns/op,
+// so the interprocedural analyses cannot silently blow up compile
+// time), and ReplayFull (trace-replay throughput, so the
+// record-once/analyze-many path cannot silently lose its speed
+// advantage). The remaining configurations are reported but never fail
+// the gate, because on a noisy shared runner gating every ablation
+// would make the gate cry wolf.
 //
 // Usage:
 //
@@ -28,15 +23,18 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 )
+
+// defaultConfigs is the -configs default: the configurations whose
+// regressions fail the gate.
+const defaultConfigs = "Full,FullSharded4Batched64,StaticAnalysis,ReplayFull"
 
 func main() {
 	var (
 		baseline  = flag.String("baseline", "BENCH_PR10.json", "checked-in racebench -json artifact to compare against")
 		current   = flag.String("current", "", "freshly measured racebench -json artifact (required)")
 		threshold = flag.Float64("threshold", 0.25, "maximum tolerated ns/op regression ratio of a gated configuration")
-		configs   = flag.String("configs", "Full,FullSharded4Batched64,StaticAnalysis,ReplayFull,FullSampledAdaptive,FullSampledPriors", "comma-separated configuration names that fail the gate on regression")
+		configs   = flag.String("configs", defaultConfigs, "comma-separated configuration names that fail the gate on regression")
 	)
 	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
 	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
@@ -65,14 +63,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	gated := map[string]bool{}
-	for _, c := range strings.Split(*configs, ",") {
-		if c = strings.TrimSpace(c); c != "" {
-			gated[c] = true
-		}
-	}
-
-	rows, violations, warnings := compare(base, cur, gated, *threshold)
+	rows, violations, warnings := compare(base, cur, parseConfigs(*configs), *threshold)
 	printRows(os.Stdout, rows)
 	for _, w := range warnings {
 		fmt.Fprintf(os.Stderr, "perfgate: warning: %s\n", w)

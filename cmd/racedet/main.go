@@ -97,9 +97,6 @@ func main() {
 		journalCap  = flag.Int("journal", 4096, "with -shards: per-shard event journal capacity for crash recovery (0 = no fault tolerance)")
 		retryBudget = flag.Int("retry-budget", 3, "with -shards and -journal: worker restart attempts before a shard degrades to the Eraser path")
 		inject      = flag.String("inject", "", `fault-injection spec for robustness testing, e.g. "panic:shard=1,event=100" (see docs/robustness.md)`)
-		sampleK     = flag.Int("sample-k", 0, "adaptive throttling: demote an access site after K consecutive clean observations (0 = off; see docs/performance.md)")
-		sampleBud   = flag.Float64("sample-budget", 0, "adaptive throttling: target shipped-events ratio in (0,1]; the throttle adapts K per window (implies -sample-k 16 when set alone)")
-		priorsMode  = flag.String("priors", "", `seed sampling with static lock-discipline priors: "on" pins unguarded/guarded-inconsistent sites armed and demotes guarded-consistent sites early, "invert" swaps the two (ablation), "off"/"" ignores the tiers; requires -sample-k/-sample-budget`)
 		factCache   = flag.String("factcache", "", "persist static-analysis results under this directory and reuse them for unchanged functions")
 		ptsWorkers  = flag.Int("pts-workers", 0, "parallel workers for the points-to solver (0 = serial; the result is identical)")
 		explain     = flag.Bool("explain-static", false, "print the per-access-site keep/kill report of the static phase and exit")
@@ -146,37 +143,8 @@ func main() {
 			if *replayWorkers <= 0 {
 				flagErr = fmt.Errorf("-replay-workers must be >= 1 (got %d); omit the flag for one per CPU", *replayWorkers)
 			}
-		case "sample-k":
-			if *sampleK < 1 {
-				flagErr = fmt.Errorf("-sample-k must be >= 1 (got %d); omit the flag to disable throttling", *sampleK)
-			}
-		case "sample-budget":
-			if *sampleBud <= 0 || *sampleBud > 1 {
-				flagErr = fmt.Errorf("-sample-budget must be in (0, 1] (got %g); omit the flag to disable the adaptive controller", *sampleBud)
-			}
-		case "priors":
-			switch *priorsMode {
-			case "on", "off", "invert", "":
-			default:
-				flagErr = fmt.Errorf(`-priors must be "on", "off", or "invert" (got %q)`, *priorsMode)
-			}
 		}
 	})
-	samplingOn := *sampleK > 0 || *sampleBud > 0
-	if flagErr == nil && samplingOn && *noOwner {
-		flagErr = fmt.Errorf("-sample-k/-sample-budget require the ownership filter; drop -noownership")
-	}
-	priorsOn := *priorsMode == "on" || *priorsMode == "invert"
-	if flagErr == nil && priorsOn {
-		switch {
-		case !samplingOn:
-			flagErr = fmt.Errorf("-priors %s seeds the sampler and needs -sample-k or -sample-budget", *priorsMode)
-		case *noStatic:
-			flagErr = fmt.Errorf("-priors come from the static lock-discipline tiers; drop -nostatic")
-		case *replayTracePath != "":
-			flagErr = fmt.Errorf("-priors need a compiled program to take tiers from and cannot be combined with -replay-trace")
-		}
-	}
 	if flagErr == nil && (*staticRep || *staticOnly) {
 		switch {
 		case *noStatic:
@@ -205,8 +173,8 @@ func main() {
 	if flagErr == nil && *ablateList != "" && *replayTracePath == "" {
 		flagErr = fmt.Errorf("-ablate requires -replay-trace")
 	}
-	if flagErr == nil && *ablateList != "" && samplingOn {
-		flagErr = fmt.Errorf("-ablate sweeps named configurations and cannot be combined with -sample-k/-sample-budget; replay the trace with the sampling flags and no -ablate instead")
+	if flagErr == nil && *fuzzN > 0 && *recordPath != "" {
+		flagErr = fmt.Errorf("-record captures a single run and cannot be combined with -fuzz; use -trace-dir for witness schedules")
 	}
 	if flagErr != nil {
 		fmt.Fprintln(os.Stderr, "racedet:", flagErr)
@@ -249,9 +217,6 @@ func main() {
 		JournalCap:             *journalCap,
 		RetryBudget:            *retryBudget,
 		FaultInjection:         *inject,
-		SampleK:                *sampleK,
-		SampleBudget:           *sampleBud,
-		Priors:                 *priorsMode,
 	}
 	switch *detName {
 	case "trie":
@@ -411,16 +376,6 @@ func main() {
 		if s.TrieCollapses > 0 || s.CacheThreadEvictions > 0 || s.OwnerOverflows > 0 {
 			fmt.Printf("degraded: trieCollapses=%d cacheThreadEvictions=%d ownerOverflows=%d (bounded memory; may over-report)\n",
 				s.TrieCollapses, s.CacheThreadEvictions, s.OwnerOverflows)
-		}
-		if s.SitesSampled > 0 {
-			// traceEvents == shipped + cacheHits + ownerSkips + suppressed:
-			// every observed event is accounted for exactly once.
-			fmt.Printf("sampling: shipped=%d suppressed=%d sites=%d demoted=%d rearmed=%d k=%d\n",
-				s.EventsShipped, s.EventsSuppressed, s.SitesSampled, s.SitesDemoted, s.SitesRearmed, s.SampleK)
-			if s.PriorHighSites > 0 || s.PriorLowSites > 0 {
-				fmt.Printf("priors: high=%d low=%d fastDemotions=%d\n",
-					s.PriorHighSites, s.PriorLowSites, s.PriorFastDemotions)
-			}
 		}
 		if s.WorkerRestarts > 0 || s.DegradedShards > 0 || s.DroppedEvents > 0 {
 			fmt.Printf("recovery: restarts=%d replayed=%d checkpoints=%d degradedShards=%d degradedEvents=%d droppedEvents=%d queueHighWater=%d\n",

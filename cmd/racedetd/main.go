@@ -63,8 +63,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		batch    = fs.Int("batch", 0, "per-session event batch size (0 = default)")
 		journal  = fs.Int("journal", 0, "per-shard journal capacity for crash replay (0 = default, negative = off)")
 		maxTrace = fs.Int("max-trace-bytes", 0, "max uploaded trace size for replay jobs (0 = default 8MiB, negative = request-body limit only)")
-		sampleK  = fs.Int("sample-k", 0, "per-session adaptive throttling: demote an access site after K clean observations (0 = off; jobs may override)")
-		sampleB  = fs.Float64("sample-budget", 0, "per-session adaptive throttling: target shipped-events ratio in (0,1] (0 = off; jobs may override)")
 		stateDir = fs.String("state-dir", "", "durable state directory: admitted jobs are journaled to a WAL here and recovered after a crash")
 		walSync  = fs.String("wal-sync", "always", "WAL durability: 'always' fsyncs every append, 'none' trusts the page cache")
 		quiet    = fs.Bool("q", false, "suppress the per-job lifecycle log on stderr")
@@ -84,14 +82,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 
 	if *walSync != "always" && *walSync != "none" {
 		fmt.Fprintf(stderr, "racedetd: -wal-sync: unknown mode %q (want 'always' or 'none')\n", *walSync)
-		return exitUsage
-	}
-	if *sampleK < 0 {
-		fmt.Fprintf(stderr, "racedetd: -sample-k must be >= 0 (got %d); 0 disables throttling\n", *sampleK)
-		return exitUsage
-	}
-	if *sampleB < 0 || *sampleB > 1 {
-		fmt.Fprintf(stderr, "racedetd: -sample-budget must be in [0, 1] (got %g); 0 disables the adaptive controller\n", *sampleB)
 		return exitUsage
 	}
 
@@ -121,8 +111,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		BatchSize:      *batch,
 		JournalCap:     *journal,
 		MaxTraceBytes:  *maxTrace,
-		SampleK:        *sampleK,
-		SampleBudget:   *sampleB,
 		StateDir:       *stateDir,
 		WalSync:        *walSync,
 		// The shard-level half of the plan reaches each session's

@@ -62,25 +62,10 @@ type JSONResult struct {
 	DroppedEvents   uint64 `json:"dropped_events,omitempty"`
 	QueueHighWater  int    `json:"queue_high_water,omitempty"`
 
-	// Adaptive-throttling axis (last run of the measurement). Every
-	// observed event lands in exactly one filter bucket, so
-	// EventsObserved == EventsShipped + cache hits + owner skips +
-	// EventsSuppressed; the FullSampled* rows are compared against
-	// Full's EventsShipped to quantify the trie work saved.
-	// EventsShipped is present on every row (Full rows too) —
-	// EventsSuppressed and the site counters only where throttling ran.
-	EventsObserved   uint64 `json:"events_observed,omitempty"`
-	EventsShipped    uint64 `json:"events_shipped,omitempty"`
-	EventsSuppressed uint64 `json:"events_suppressed,omitempty"`
-	SitesDemoted     uint64 `json:"sites_demoted,omitempty"`
-	SitesRearmed     uint64 `json:"sites_rearmed,omitempty"`
-
-	// Discipline-prior axis (FullSampledPriors rows only): sites
-	// pinned / fast-demoting by static tier, and demotions that fired
-	// earlier than the adaptive K thanks to a low prior.
-	PriorHighSites     int    `json:"prior_high_sites,omitempty"`
-	PriorLowSites      int    `json:"prior_low_sites,omitempty"`
-	PriorFastDemotions uint64 `json:"prior_fast_demotions,omitempty"`
+	// Filter axis (last run of the measurement): every observed event
+	// is shipped to the trie, a cache hit, or an owner skip.
+	EventsObserved uint64 `json:"events_observed,omitempty"`
+	EventsShipped  uint64 `json:"events_shipped,omitempty"`
 }
 
 // JSONReport is the top-level structure of the bench JSON artifact
@@ -159,17 +144,6 @@ func jsonConfigs(o JSONOptions) []struct {
 	supervised := both
 	supervised.JournalCap = o.JournalCap
 	supervised.RetryBudget = o.RetryBudget
-	sampled := func(k int, budget float64) core.Config {
-		c := core.Full()
-		c.SampleK = k
-		c.SampleBudget = budget
-		return c
-	}
-	sampledPriors := func(k int, budget float64) core.Config {
-		c := sampled(k, budget)
-		c.Priors = "on"
-		return c
-	}
 	add := func(name string, cfg core.Config) struct {
 		Name string
 		Cfg  core.Config
@@ -184,17 +158,6 @@ func jsonConfigs(o JSONOptions) []struct {
 		add(fmt.Sprintf("FullBatched%d", o.BatchSize), batched),
 		add(fmt.Sprintf("FullSharded%dBatched%d", o.Shards, o.BatchSize), both),
 		add("FullSupervised", supervised),
-		// The throttling sweep: fixed K at three demotion speeds plus
-		// the adaptive controller, all on the serial back end so the
-		// suppression effect is isolated from sharding.
-		add("FullSampled4", sampled(4, 0)),
-		add("FullSampled16", sampled(16, 0)),
-		add("FullSampled64", sampled(64, 0)),
-		add("FullSampledAdaptive", sampled(2, 0.25)),
-		// The adaptive controller again, but seeded with the static
-		// lock-discipline tiers as per-site priors: guarded-consistent
-		// sites demote early, unguarded ones stay pinned.
-		add("FullSampledPriors", sampledPriors(2, 0.25)),
 	)
 }
 
@@ -374,13 +337,6 @@ func WriteJSON(w io.Writer, opts JSONOptions) error {
 			EventsPerSec:     eventsPerSec(cl.events, median(cl.ns)),
 			EventsObserved:   cl.det.Accesses,
 			EventsShipped:    cl.det.Shipped,
-			EventsSuppressed: cl.det.Sample.Suppressed,
-			SitesDemoted:     cl.det.Sample.Demotions,
-			SitesRearmed:     cl.det.Sample.Rearms,
-
-			PriorHighSites:     cl.det.Sample.PriorHighSites,
-			PriorLowSites:      cl.det.Sample.PriorLowSites,
-			PriorFastDemotions: cl.det.Sample.PriorFastDemotions,
 		}
 		if o.BenchReps > 1 {
 			r.Reps = o.BenchReps

@@ -34,7 +34,6 @@ import (
 	"racedet/internal/rt/immutable"
 	"racedet/internal/rt/objectrace"
 	"racedet/internal/rt/postmortem"
-	"racedet/internal/rt/sitestate"
 	"racedet/internal/rt/trace"
 	"racedet/internal/rt/vclock"
 	"racedet/internal/static/factcache"
@@ -208,38 +207,7 @@ type Config struct {
 	// parsed by internal/faultinject. Faults wins when both are set.
 	Faults    detector.FaultInjector
 	FaultSpec string
-
-	// SampleK > 0 enables adaptive per-site throttling (-sample-k): a
-	// static access site demotes to a counting-only stub after K
-	// consecutive clean observations and re-arms on ownership
-	// contact; stub suppression is per-location and write-aware, so
-	// stable (recurring) races still ship. Applies to live runs and
-	// trace replays alike — sampling lives in the detector's filter,
-	// never in the recorder. Requires the ownership filter.
-	SampleK int
-	// SampleBudget > 0 enables the target-overhead controller
-	// (-sample-budget): K adapts each window to hold the events-shipped
-	// ratio at the budget (0 < budget <= 1).
-	SampleBudget float64
-
-	// Priors seeds the sampler with per-site static lock-discipline
-	// priors (-priors): "on" pins statically unguarded and
-	// guarded-inconsistent sites armed and demotes guarded-consistent
-	// sites early; "invert" swaps the two (the ablation mode); "" or
-	// "off" ignores the tiers. Requires sampling and a compiled
-	// pipeline with static analysis.
-	Priors string
-	// SitePriors supplies the per-site prior map explicitly. Leave it
-	// nil for live runs — RunConfig fills it from the compiled
-	// pipeline's discipline tiers; trace replays (ReplayTrace) have no
-	// pipeline, so callers wanting priors there must set it, typically
-	// from Pipeline.SitePriors of the program that produced the trace.
-	SitePriors map[sitestate.Key]sitestate.Prior
 }
-
-// PriorsEnabled reports whether mode requests prior-seeded sampling
-// ("on" or "invert"; "" and "off" do not).
-func PriorsEnabled(mode string) bool { return mode == "on" || mode == "invert" }
 
 // Full returns the paper's complete configuration.
 func Full() Config {
@@ -359,11 +327,6 @@ type Pipeline struct {
 
 	InstrStats  instrument.Stats
 	StaticStats StaticStats
-
-	// priorsOnce/sitePriors memoize the tier-derived sampling priors
-	// (shared read-only by every run of this pipeline).
-	priorsOnce sync.Once
-	sitePriors map[sitestate.Key]sitestate.Prior
 
 	// hintOnce/hintIndex memoize the static may-race partner index used
 	// by staticHints: the pairs are fixed at compile time, but the index
@@ -705,36 +668,6 @@ func (p *Pipeline) applyCached(e *factcache.Entry) error {
 // recompiles of the same program, including fact-cache program hits.
 func (p *Pipeline) DisciplineReport() string { return p.disciplineReport }
 
-// SitePriors derives the sampler's per-site prior map from the
-// discipline tiers: unguarded and guarded-inconsistent sites get
-// PriorHigh (pinned armed), guarded-consistent kept sites PriorLow
-// (fast demotion). Sites outside the static race set are not
-// instrumented and need no prior. The map is memoized and shared
-// read-only by every run of the pipeline; nil when static analysis
-// was disabled.
-func (p *Pipeline) SitePriors() map[sitestate.Key]sitestate.Prior {
-	p.priorsOnce.Do(func() {
-		if len(p.tierEntries) == 0 {
-			return
-		}
-		m := make(map[sitestate.Key]sitestate.Prior, len(p.tierEntries))
-		for _, t := range p.tierEntries {
-			kind := event.Read
-			if t.Write {
-				kind = event.Write
-			}
-			k := sitestate.Key{File: t.File, Line: t.Line, Col: t.Col, Kind: kind}
-			if lockdiscipline.Tier(t.Tier) == lockdiscipline.GuardedConsistent {
-				m[k] = sitestate.PriorLow
-			} else {
-				m[k] = sitestate.PriorHigh
-			}
-		}
-		p.sitePriors = m
-	})
-	return p.sitePriors
-}
-
 // RunResult is one execution's outcome.
 type RunResult struct {
 	Config Config
@@ -795,9 +728,6 @@ func (p *Pipeline) RunConfig(cfg Config) (*RunResult, error) {
 		// scheduler's parameters so nothing else can perturb it.
 		cfg.Seed = 0
 		cfg.Quantum = tr.Quantum
-	}
-	if PriorsEnabled(cfg.Priors) && cfg.SitePriors == nil {
-		cfg.SitePriors = p.SitePriors()
 	}
 
 	ds, err := newDetectorSinks(cfg)
@@ -912,12 +842,6 @@ func newDetectorSinks(cfg Config) (*detectorSinks, error) {
 			MaxTrieNodes:      cfg.MaxTrieNodes,
 			MaxCacheThreads:   cfg.MaxCacheThreads,
 			MaxOwnerLocations: cfg.MaxOwnerLocations,
-			SampleK:           cfg.SampleK,
-			SampleBudget:      cfg.SampleBudget,
-		}
-		if PriorsEnabled(cfg.Priors) {
-			dopts.Priors = cfg.SitePriors
-			dopts.InvertPriors = cfg.Priors == "invert"
 		}
 		if cfg.Shards >= 1 {
 			dopts.JournalCap = cfg.JournalCap

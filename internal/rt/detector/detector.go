@@ -3,9 +3,9 @@
 // caches (§4), and the trie-based weaker-than detector (§3) — behind
 // the event.Sink interface the interpreter feeds.
 //
-// The pipeline has two halves. One filter front end (front.go, with
-// its sampled path in sampling.go) decides which accesses reach the
-// trie; one trie stage records and reports them. Per access:
+// The pipeline has two halves. One filter front end (front.go) decides
+// which accesses reach the trie; one trie stage records and reports
+// them. Per access:
 //
 //	cache lookup → [hit: done]
 //	ownership filter → [owned: cache insert, done; owned→shared:
@@ -30,7 +30,6 @@ import (
 
 	"racedet/internal/rt/cache"
 	"racedet/internal/rt/event"
-	"racedet/internal/rt/sitestate"
 	"racedet/internal/rt/trie"
 )
 
@@ -77,30 +76,6 @@ type Options struct {
 	// DescribeObj renders an object for reports (e.g. "TspSolver#3
 	// allocated at tsp.mj:12:9"); optional.
 	DescribeObj func(event.ObjID) string
-
-	// SampleK > 0 enables adaptive per-site throttling: a static access
-	// site (source position + access kind) demotes to a counting-only
-	// stub after K consecutive clean observations under an unchanged
-	// lock environment, and re-arms on ownership contact (see
-	// internal/rt/sitestate). Requires the ownership filter; ignored
-	// under NoOwnership. Sampling disables the QuickCheck fast path so
-	// the filter observes the complete event stream — which is what
-	// makes a live sampled run byte-identical to replaying an
-	// (unsampled) recorded trace with sampling on.
-	SampleK int
-	// SampleBudget > 0 additionally enables the target-overhead
-	// controller: K is tightened/loosened each window to hold the
-	// events-shipped ratio at the budget (0 < budget <= 1). With
-	// SampleK == 0 the initial K is sitestate.DefaultK.
-	SampleBudget float64
-
-	// Priors seeds the throttle with per-site static lock-discipline
-	// priors (see sitestate.Prior): high-prior sites are pinned armed,
-	// low-prior sites demote early. Nil means no priors. InvertPriors
-	// swaps high and low — the ablation mode. Both are ignored unless
-	// sampling is enabled.
-	Priors       map[sitestate.Key]sitestate.Prior
-	InvertPriors bool
 
 	// JournalCap enables fault tolerance in the sharded back end: each
 	// shard keeps a bounded write-ahead journal of up to this many
@@ -161,13 +136,15 @@ type Stats struct {
 	OwnerSkips uint64 // accesses absorbed by the ownership filter
 	// Shipped counts accesses delivered to the trie stage — the
 	// detection work the filter layers could not absorb. The accounting
-	// invariant, sampled or not:
+	// invariant, under every Options:
 	//
-	//	Accesses == Shipped + CacheHits + OwnerSkips + Sample.Suppressed
+	//	Accesses == Shipped + CacheHits + OwnerSkips
 	Shipped uint64
-	// Sample reports the per-site throttling layer's counters (all zero
-	// unless SampleK/SampleBudget enabled it).
-	Sample sitestate.Stats
+	// Sample is a compatibility shim for the removed per-site sampling
+	// layer: Suppressed is always zero. It remains only because the
+	// repository benchmark still reads it, and can go together with that
+	// read in the next change to the benchmark.
+	Sample struct{ Suppressed uint64 }
 	// OwnerLocations is the number of locations the ownership table
 	// tracks — the detector-memory growth witness behind the paper's
 	// mtrt/NoStatic out-of-memory observation.

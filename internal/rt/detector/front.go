@@ -4,7 +4,6 @@ import (
 	"racedet/internal/rt/cache"
 	"racedet/internal/rt/event"
 	"racedet/internal/rt/ownership"
-	"racedet/internal/rt/sitestate"
 )
 
 // survivorSink is where the front end sends every access that survives
@@ -19,11 +18,11 @@ type survivorSink interface {
 
 // front is the filter front end both back ends share. It implements
 // event.Sink, event.BatchSink and the interpreter's QuickCheck fast
-// path; it owns the lock tracker and the cache, ownership and
-// throttling layers, runs them synchronously in event order, and hands
-// only survivors to its survivor sink. Because both back ends run this
-// one front end, their filter state and stats — and the stream of
-// trie-bound accesses — are identical by construction.
+// path; it owns the lock tracker and the cache and ownership layers,
+// runs them synchronously in event order, and hands only survivors to
+// its survivor sink. Because both back ends run this one front end,
+// their filter state and stats — and the stream of trie-bound
+// accesses — are identical by construction.
 type front struct {
 	opts Options
 
@@ -31,8 +30,7 @@ type front struct {
 	locks  *event.LockTracker
 	cache  *cache.Cache
 	owner  *ownership.Table
-	sites  *sitestate.Table // non-nil iff per-site throttling is on
-	stats  Stats            // filter counters; Trie and Recovery stay zero
+	stats  Stats // filter counters; Trie and Recovery stay zero
 	out    survivorSink
 }
 
@@ -51,38 +49,16 @@ func newFront(opts Options) front {
 	if opts.MaxOwnerLocations > 0 {
 		f.owner = ownership.NewBounded(opts.MaxOwnerLocations)
 	}
-	if sc, on := samplingConfig(opts); on {
-		f.sites = sitestate.New(sc)
-		f.owner.SetOnContact(f.sites.Contact)
-	}
 	return f
 }
 
-// samplingConfig resolves the Options sampling knobs. Throttling needs
-// the ownership filter's contact signal to stay over-report-never-miss,
-// so NoOwnership disables it.
-func samplingConfig(opts Options) (sitestate.Config, bool) {
-	if opts.NoOwnership || (opts.SampleK <= 0 && opts.SampleBudget <= 0) {
-		return sitestate.Config{}, false
-	}
-	return sitestate.Config{
-		K:            opts.SampleK,
-		Budget:       opts.SampleBudget,
-		Priors:       opts.Priors,
-		InvertPriors: opts.InvertPriors,
-	}, true
-}
-
-// filterStats returns the filter counters together with the ownership,
-// cache and throttling tables' own stats.
+// filterStats returns the filter counters together with the ownership
+// and cache tables' own stats.
 func (f *front) filterStats() Stats {
 	s := f.stats
 	s.OwnerLocations = f.owner.Locations()
 	s.OwnerOverflows = f.owner.Overflows()
 	s.Cache = f.cache.Stats()
-	if f.sites != nil {
-		s.Sample = f.sites.Stats()
-	}
 	return s
 }
 
@@ -143,10 +119,7 @@ func (f *front) mergeLoc(loc event.Loc) event.Loc {
 // materializing a full access event; true means the access was
 // absorbed by the cache.
 func (f *front) QuickCheck(t event.ThreadID, loc event.Loc, kind event.Kind) bool {
-	// Under sampling the fast path is off: the throttling layer must
-	// observe the complete stream (site counters, touch accounting), and
-	// a live sampled run must see exactly what a trace replay feeds it.
-	if f.opts.NoCache || f.sites != nil {
+	if f.opts.NoCache {
 		return false
 	}
 	if f.cache.Lookup(t, f.mergeLoc(loc), kind) {
@@ -157,10 +130,10 @@ func (f *front) QuickCheck(t event.ThreadID, loc event.Loc, kind event.Kind) boo
 	return false
 }
 
-// filter runs the unsampled filter layers — cache lookup, then
-// ownership — on a merged location and reports whether the access
-// survives to the trie stage. Absorbed accesses are fully accounted
-// (including the owner-skip cache insert) before it returns.
+// filter runs the filter layers — cache lookup, then ownership — on a
+// merged location and reports whether the access survives to the trie
+// stage. Absorbed accesses are fully accounted (including the
+// owner-skip cache insert) before it returns.
 func (f *front) filter(t event.ThreadID, loc event.Loc, kind event.Kind) bool {
 	f.stats.Accesses++
 	if !f.opts.NoCache && f.cache.Lookup(t, loc, kind) {
@@ -208,10 +181,6 @@ func (f *front) deliver(a *event.Access, loc event.Loc) {
 // lookup here is a second (cheap) miss except for sinks that do not
 // use the fast path.
 func (f *front) Access(a event.Access) {
-	if f.sites != nil {
-		f.sampledAccess(&a)
-		return
-	}
 	loc := f.mergeLoc(a.Loc)
 	if f.filter(a.Thread, loc, a.Kind) {
 		f.deliver(&a, loc)
@@ -226,12 +195,6 @@ func (f *front) Access(a event.Access) {
 // for survivors. The batch slice itself is never retained or mutated
 // (MultiSink hands the same slice to every batch-aware child).
 func (f *front) AccessBatch(batch []event.Access) {
-	if f.sites != nil {
-		for i := range batch {
-			f.sampledAccess(&batch[i])
-		}
-		return
-	}
 	for i := range batch {
 		a := &batch[i]
 		loc := f.mergeLoc(a.Loc)

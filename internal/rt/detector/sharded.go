@@ -4,10 +4,10 @@
 // its survivor sink. The front end — running on the interpreter's
 // goroutine, as the event.Sink — owns the cheap, high-hit-rate layers:
 // the per-thread access caches (§4, including the inlined QuickCheck
-// fast path), the §7 ownership filter and the sampling throttle. Only
-// survivors — the minority that actually needs trie work — reach the
-// router, already lockset-materialized and stamped with their
-// detection-order sequence number. The router batches them and pushes
+// fast path) and the §7 ownership filter. Only survivors — the
+// minority that actually needs trie work — reach the router, already
+// lockset-materialized and stamped with their detection-order
+// sequence number. The router batches them and pushes
 // them over a bounded SPSC ring buffer to one of N worker goroutines
 // chosen by hash(ObjID, slot). Each worker runs the shared trie stage
 // for its share of the location space and nothing else, so workers

@@ -1,6 +1,7 @@
 package detector
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -159,7 +160,8 @@ func TestShardedBatchedProducer(t *testing.T) {
 // stream is identical, the summed trie counters too — matches the
 // serial back end bit for bit, for every option the front end branches
 // on. (MaxTrieNodes is left out: the sharded back end splits that
-// budget by design.)
+// budget by design.) Every run also keeps the filter accounting
+// invariant: each access is shipped, a cache hit or an owner skip.
 func TestShardedStatsMatchSerial(t *testing.T) {
 	optSets := map[string]Options{
 		"full":         {},
@@ -168,19 +170,24 @@ func TestShardedStatsMatchSerial(t *testing.T) {
 		"merged":       {FieldsMerged: true},
 		"ownerbound":   {MaxOwnerLocations: 4},
 		"cachethreads": {MaxCacheThreads: 1},
-		"sampled":      {SampleK: 4},
+	}
+	checkAccounting := func(label string, s Stats) {
+		t.Helper()
+		if s.Accesses == 0 || s.Accesses != s.Shipped+s.CacheHits+s.OwnerSkips {
+			t.Fatalf("%s: accounting broken: accesses=%d shipped=%d cacheHits=%d ownerSkips=%d",
+				label, s.Accesses, s.Shipped, s.CacheHits, s.OwnerSkips)
+		}
 	}
 	for name, opts := range optSets {
 		serial := New(opts)
-		feedRandomSited(serial, 1, 2000)
+		feedRandom(serial, 1, 2000)
 		want := serial.Stats()
-		if opts.SampleK > 0 && want.Sample.Demotions == 0 {
-			t.Fatalf("%s: scenario never demotes a site", name)
-		}
+		checkAccounting(name+"/serial", want)
 		for _, shards := range []int{1, 2, 8} {
 			sh := NewSharded(opts, shards, 16)
-			feedRandomSited(sh, 1, 2000)
+			feedRandom(sh, 1, 2000)
 			got := sh.Stats()
+			checkAccounting(fmt.Sprintf("%s/%dshards", name, shards), got)
 			got.Recovery = RecoveryStats{}
 			if got != want {
 				t.Fatalf("%s/%dshards: stats diverge from serial:\nsharded: %+v\nserial:  %+v", name, shards, got, want)

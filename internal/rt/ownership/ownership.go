@@ -37,13 +37,6 @@ type Table struct {
 	// a racing access — degradation is strictly more reporting.
 	maxLocations int
 	overflows    uint64
-
-	// onContact, when set, is invoked synchronously on every
-	// owned→shared transition — the moment a second thread first
-	// touches a location. The sampling layer uses it to re-arm
-	// throttled sites (see internal/rt/sitestate); overflow locations
-	// never fire it (they are born shared, no transition happens).
-	onContact func(event.Loc)
 }
 
 // initialLocations pre-sizes the owner map. Growing a Go map to n
@@ -68,9 +61,7 @@ func NewBounded(maxLocations int) *Table {
 	return t
 }
 
-// Clone returns a deep copy of the table for checkpointing. The
-// onContact callback is deliberately not copied: a checkpoint is
-// passive state and must not fire notifications into the live run.
+// Clone returns a deep copy of the table for checkpointing.
 func (tb *Table) Clone() *Table {
 	nt := &Table{
 		owner:        make(map[event.Loc]event.ThreadID, len(tb.owner)),
@@ -110,15 +101,9 @@ func (tb *Table) Filter(t event.ThreadID, loc event.Loc) (forward, becameShared 
 		// all subsequent ones go to the detector.
 		tb.owner[loc] = sharedOwner
 		tb.transitions++
-		if tb.onContact != nil {
-			tb.onContact(loc)
-		}
 		return true, true
 	}
 }
-
-// SetOnContact installs the owned→shared transition callback.
-func (tb *Table) SetOnContact(fn func(event.Loc)) { tb.onContact = fn }
 
 // StateOf reports the current ownership state of loc (tests).
 func (tb *Table) StateOf(loc event.Loc) State {

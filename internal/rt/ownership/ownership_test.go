@@ -91,52 +91,3 @@ func TestStateString(t *testing.T) {
 		t.Fatal("states must be distinct")
 	}
 }
-
-func TestOnContactFiresOncePerTransition(t *testing.T) {
-	tb := New()
-	var contacts []event.Loc
-	tb.SetOnContact(func(l event.Loc) { contacts = append(contacts, l) })
-
-	tb.Filter(1, loc(1)) // claim
-	tb.Filter(1, loc(1)) // owner re-access: no contact
-	if len(contacts) != 0 {
-		t.Fatalf("contact fired before any transition: %v", contacts)
-	}
-	tb.Filter(2, loc(1)) // owned→shared: contact
-	if len(contacts) != 1 || contacts[0] != loc(1) {
-		t.Fatalf("contacts = %v, want exactly [loc1]", contacts)
-	}
-	tb.Filter(3, loc(1)) // already shared: no second contact
-	tb.Filter(1, loc(1))
-	if len(contacts) != 1 {
-		t.Fatalf("contact fired on an already-shared location: %v", contacts)
-	}
-}
-
-func TestOnContactNotFiredOnOverflow(t *testing.T) {
-	tb := NewBounded(1)
-	fired := 0
-	tb.SetOnContact(func(event.Loc) { fired++ })
-	tb.Filter(1, loc(1)) // tracked
-	tb.Filter(1, loc(2)) // overflow: born shared, no transition
-	tb.Filter(2, loc(2)) // still no transition
-	if fired != 0 {
-		t.Fatalf("contact fired %d times for overflow traffic, want 0", fired)
-	}
-	tb.Filter(2, loc(1))
-	if fired != 1 {
-		t.Fatalf("tracked location transition fired %d times, want 1", fired)
-	}
-}
-
-func TestCloneDropsOnContact(t *testing.T) {
-	tb := New()
-	fired := 0
-	tb.SetOnContact(func(event.Loc) { fired++ })
-	tb.Filter(1, loc(1))
-	cl := tb.Clone()
-	cl.Filter(2, loc(1)) // transition in the clone must not notify the live run
-	if fired != 0 {
-		t.Fatalf("clone transition fired the original's callback")
-	}
-}

@@ -169,14 +169,24 @@ func TestRecoveryRerunsIncompleteJob(t *testing.T) {
 	if err := st.Append(durable.Record{Kind: durable.KindAdmit, Job: 7, Key: req.IdempotencyKey, Request: reqJSON}); err != nil {
 		t.Fatalf("seeding admit: %v", err)
 	}
+	// An admit record written by an older daemon can carry the removed
+	// sampling and prior keys. Recovery drops them and re-runs the job
+	// unsampled, whose races are a superset of any sampled run's.
+	legacy := req
+	legacy.IdempotencyKey = "legacy"
+	legacyJSON, _ := json.Marshal(legacy)
+	legacyJSON = append(legacyJSON[:len(legacyJSON)-1], `,"sample_k":4,"sample_budget":0.25,"priors":"on"}`...)
+	if err := st.Append(durable.Record{Kind: durable.KindAdmit, Job: 8, Key: legacy.IdempotencyKey, Request: legacyJSON}); err != nil {
+		t.Fatalf("seeding legacy admit: %v", err)
+	}
 	if err := st.Close(); err != nil {
 		t.Fatalf("closing seed WAL: %v", err)
 	}
 
 	s, c, rep, stop := stateServer(t, dir, Options{})
 	defer stop()
-	if rep.Rerun != 1 || rep.Completed != 0 {
-		t.Fatalf("recovery = %+v, want exactly one re-run", rep)
+	if rep.Rerun != 2 || rep.Completed != 0 {
+		t.Fatalf("recovery = %+v, want exactly two re-runs", rep)
 	}
 
 	// The client's retry of the lost acknowledgment is answered from
@@ -192,10 +202,20 @@ func TestRecoveryRerunsIncompleteJob(t *testing.T) {
 	if !reflect.DeepEqual(res.Races, ref.Races) {
 		t.Errorf("recovered races differ from one-shot reference:\n got %+v\nwant %+v", res.Races, ref.Races)
 	}
+	old, err := c.Analyze(legacy)
+	if err != nil {
+		t.Fatalf("legacy resubmit: %v", err)
+	}
+	if !old.Deduped || old.Job != 8 {
+		t.Fatalf("legacy resubmit not served from recovered job 8: %+v", old)
+	}
+	if !reflect.DeepEqual(old.Races, ref.Races) {
+		t.Errorf("legacy admit re-ran with different races than the one-shot reference:\n got %+v\nwant %+v", old.Races, ref.Races)
+	}
 
 	m := s.Metrics()
-	if m.JobsRecovered != 1 || m.JobsDeduped != 1 || m.JobsCompleted != 1 {
-		t.Errorf("recovered=%d deduped=%d completed=%d, want 1/1/1",
+	if m.JobsRecovered != 2 || m.JobsDeduped != 2 || m.JobsCompleted != 2 {
+		t.Errorf("recovered=%d deduped=%d completed=%d, want 2/2/2",
 			m.JobsRecovered, m.JobsDeduped, m.JobsCompleted)
 	}
 	if m.Terminal() != m.JobsAdmitted {
@@ -204,8 +224,8 @@ func TestRecoveryRerunsIncompleteJob(t *testing.T) {
 	// Job indices continue past everything the WAL had seen.
 	if next, err := c.Analyze(JobRequest{File: "clean.mj", Source: cleanProg}); err != nil {
 		t.Fatalf("post-recovery fresh job: %v", err)
-	} else if next.Job <= 7 {
-		t.Errorf("fresh job index %d collides with recovered log (max 7)", next.Job)
+	} else if next.Job <= 8 {
+		t.Errorf("fresh job index %d collides with recovered log (max 8)", next.Job)
 	}
 }
 

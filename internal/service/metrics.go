@@ -65,20 +65,9 @@ type metrics struct {
 	droppedEvents      atomic.Uint64
 	backpressureStalls atomic.Uint64
 
-	// Adaptive throttling, aggregated across all sessions' runs. Per
-	// run the filter accounts for every observed event exactly once:
-	// observed == shipped + cache hits + owner skips + suppressed, so
-	// events_suppressed here is work the trie never had to do.
-	eventsShipped    atomic.Uint64
-	eventsSuppressed atomic.Uint64
-	sitesDemoted     atomic.Uint64
-	sitesRearmed     atomic.Uint64
-
-	// Static lock-discipline priors, aggregated across all sessions'
-	// sampled runs that enabled them.
-	priorHighSites     atomic.Uint64
-	priorLowSites      atomic.Uint64
-	priorFastDemotions atomic.Uint64
+	// Events that reached the trie detector, aggregated across all
+	// sessions' runs.
+	eventsShipped atomic.Uint64
 
 	draining atomic.Bool
 }
@@ -142,14 +131,7 @@ type Snapshot struct {
 	DroppedEvents      uint64
 	BackpressureStalls uint64
 
-	EventsShipped    uint64
-	EventsSuppressed uint64
-	SitesDemoted     uint64
-	SitesRearmed     uint64
-
-	PriorHighSites     uint64
-	PriorLowSites      uint64
-	PriorFastDemotions uint64
+	EventsShipped uint64
 
 	Draining bool
 }
@@ -197,12 +179,6 @@ func (m *metrics) snapshot() Snapshot {
 		DroppedEvents:        m.droppedEvents.Load(),
 		BackpressureStalls:   m.backpressureStalls.Load(),
 		EventsShipped:        m.eventsShipped.Load(),
-		EventsSuppressed:     m.eventsSuppressed.Load(),
-		SitesDemoted:         m.sitesDemoted.Load(),
-		SitesRearmed:         m.sitesRearmed.Load(),
-		PriorHighSites:       m.priorHighSites.Load(),
-		PriorLowSites:        m.priorLowSites.Load(),
-		PriorFastDemotions:   m.priorFastDemotions.Load(),
 		Draining:             m.draining.Load(),
 	}
 }
@@ -254,12 +230,6 @@ func (s Snapshot) WriteTo(w io.Writer) (int64, error) {
 		"dropped_events":               int64(s.DroppedEvents),
 		"backpressure_stalls":          int64(s.BackpressureStalls),
 		"events_shipped":               int64(s.EventsShipped),
-		"events_suppressed":            int64(s.EventsSuppressed),
-		"sites_demoted":                int64(s.SitesDemoted),
-		"sites_rearmed":                int64(s.SitesRearmed),
-		"prior_high_sites":             int64(s.PriorHighSites),
-		"prior_low_sites":              int64(s.PriorLowSites),
-		"prior_fast_demotions":         int64(s.PriorFastDemotions),
 		"draining":                     int64(b(s.Draining)),
 	}
 	names := make([]string, 0, len(lines))

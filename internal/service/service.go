@@ -127,14 +127,6 @@ type Options struct {
 	JournalCap       int
 	ShardRetryBudget int
 
-	// SampleK/SampleBudget are the per-session adaptive-throttling
-	// defaults (overridable per job), exactly as in racedet.Options:
-	// SampleK > 0 demotes an access site after K consecutive clean
-	// observations; SampleBudget in (0, 1] targets a shipped-events
-	// ratio. Both zero (the default) disable throttling.
-	SampleK      int
-	SampleBudget float64
-
 	// Faults installs deterministic session-level and disk-level fault
 	// injection (nil in production). Shard-level faults for the
 	// sessions' detector back ends go through DetectorFaultSpec
@@ -199,12 +191,6 @@ func (o Options) withDefaults() Options {
 		o.MaxTraceBytes = 8 << 20
 	case o.MaxTraceBytes < 0:
 		o.MaxTraceBytes = 0
-	}
-	if o.SampleK < 0 {
-		o.SampleK = 0
-	}
-	if o.SampleBudget < 0 {
-		o.SampleBudget = 0
 	}
 	if o.WalSync == "" {
 		o.WalSync = "always"
@@ -584,13 +570,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := validateSampling(req); err != nil {
-		if s.journalFinish(job, StateBadRequest, 0) {
-			s.m.jobsFailed.Add(1)
-		}
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
 	s.mu.Lock()
 	if rec, ok := s.journal[job]; ok {
 		rec.File = req.File
@@ -713,33 +692,6 @@ func (s *Server) validateTrace(req JobRequest) error {
 	}
 	if _, err := trace.NewReader(req.Trace); err != nil {
 		return err
-	}
-	return nil
-}
-
-// validateSampling vets a job's throttling overrides at admission: a
-// budget outside [0, 1] can never be satisfied and is refused before
-// the job occupies a session slot. SampleK's sign is meaningful and
-// never rejected (> 0 overrides the daemon default, < 0 forces
-// throttling off, mirroring the Shards convention).
-func validateSampling(req JobRequest) error {
-	if req.SampleBudget < 0 || req.SampleBudget > 1 {
-		return fmt.Errorf("sample_budget must be in [0, 1] (got %g)", req.SampleBudget)
-	}
-	switch req.Priors {
-	case "", "off":
-	case "on", "invert":
-		if req.SampleK < 0 {
-			return fmt.Errorf("priors %q seed the sampler, but sample_k < 0 forces throttling off", req.Priors)
-		}
-		if len(req.Trace) > 0 {
-			return fmt.Errorf("priors need a compiled program to take tiers from; trace jobs cannot use them")
-		}
-		if req.NoStatic {
-			return fmt.Errorf("priors come from the static lock-discipline tiers; drop nostatic")
-		}
-	default:
-		return fmt.Errorf(`priors must be "on", "off", or "invert" (got %q)`, req.Priors)
 	}
 	return nil
 }

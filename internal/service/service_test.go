@@ -4,7 +4,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -421,79 +420,6 @@ func TestBadRequests(t *testing.T) {
 		if j.State != StateBadRequest {
 			t.Errorf("journal %+v, want bad-request", j)
 		}
-	}
-}
-
-func TestSamplingJobs(t *testing.T) {
-	s, c, stop := newTestServer(t, Options{SampleK: 4})
-	defer stop()
-
-	// A hot polling idiom with a stable race: enough repeat traffic for
-	// throttling to demote sites and suppress events, while the
-	// recurring cross-thread contact keeps the race observable.
-	src, err := os.ReadFile("../corpus/testdata/handoff_pipeline.mj")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hotRacyProg := string(src)
-
-	// The daemon-wide default applies: the stable race survives
-	// throttling and the suppression work is visible in the stats.
-	res, err := c.Analyze(JobRequest{File: "hot.mj", Source: hotRacyProg})
-	if err != nil {
-		t.Fatalf("analyze sampled: %v", err)
-	}
-	found := false
-	for _, r := range res.Races {
-		if r.Field == "Item.value" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("sampled job lost the Item.value race: %+v", res.Races)
-	}
-	if res.Stats.EventsSuppressed == 0 || res.Stats.SitesDemoted == 0 {
-		t.Errorf("sampled job shows no throttling work: suppressed=%d demoted=%d",
-			res.Stats.EventsSuppressed, res.Stats.SitesDemoted)
-	}
-
-	// A job-level override can force throttling off.
-	off, err := c.Analyze(JobRequest{File: "hot.mj", Source: hotRacyProg, SampleK: -1})
-	if err != nil {
-		t.Fatalf("analyze override-off: %v", err)
-	}
-	if off.Stats.EventsSuppressed != 0 || off.Stats.SitesSampled != 0 {
-		t.Errorf("override-off job still sampled: %+v", off.Stats)
-	}
-
-	// The aggregated counters reach GET /metrics.
-	m, err := c.Metrics()
-	if err != nil {
-		t.Fatalf("metrics: %v", err)
-	}
-	for _, name := range []string{"events_shipped", "events_suppressed", "sites_demoted", "sites_rearmed"} {
-		if _, ok := m[name]; !ok {
-			t.Errorf("metrics missing %s", name)
-		}
-	}
-	if m["events_suppressed"] != int64(res.Stats.EventsSuppressed) {
-		t.Errorf("metrics events_suppressed = %d, want %d",
-			m["events_suppressed"], res.Stats.EventsSuppressed)
-	}
-	if m["sites_demoted"] == 0 {
-		t.Error("metrics sites_demoted not aggregated")
-	}
-
-	// A budget outside [0, 1] is a bad request, refused at admission.
-	if _, err := c.Analyze(JobRequest{File: "x.mj", Source: racyProg, SampleBudget: 1.5}); err == nil {
-		t.Error("sample_budget > 1 should be a bad request")
-	}
-	snap := s.Metrics()
-	if snap.JobsFailed != 1 {
-		t.Errorf("jobs_failed = %d, want 1 (the bad budget)", snap.JobsFailed)
-	}
-	if snap.Terminal() != snap.JobsAdmitted {
-		t.Errorf("terminal=%d admitted=%d", snap.Terminal(), snap.JobsAdmitted)
 	}
 }
 

@@ -44,19 +44,6 @@ type JobRequest struct {
 	// (instrument everything), as racedet -nostatic.
 	NoStatic bool `json:"nostatic,omitempty"`
 
-	// SampleK/SampleBudget override the daemon's per-session adaptive-
-	// throttling defaults when > 0, exactly as racedet -sample-k /
-	// -sample-budget; SampleK < 0 forces throttling off for this job.
-	// SampleBudget outside [0, 1] is rejected at admission.
-	SampleK      int     `json:"sample_k,omitempty"`
-	SampleBudget float64 `json:"sample_budget,omitempty"`
-	// Priors seeds the job's sampler with the program's static
-	// lock-discipline tiers ("on" or "invert", exactly as racedet
-	// -priors; "" or "off" ignores them). Needs sampling and a source
-	// job — rejected at admission for trace jobs, which have no
-	// compiled pipeline to take tiers from.
-	Priors string `json:"priors,omitempty"`
-
 	// IdempotencyKey, when non-empty, makes the submission safely
 	// at-least-once: the first job to present a key runs; any later
 	// job with the same key is answered from the first one's result
@@ -129,18 +116,6 @@ func (s *Server) jobOptions(req JobRequest) racedet.Options {
 	if req.Batch > 0 {
 		o.BatchSize = req.Batch
 	}
-	o.SampleK = s.opts.SampleK
-	o.SampleBudget = s.opts.SampleBudget
-	switch {
-	case req.SampleK > 0:
-		o.SampleK = req.SampleK
-	case req.SampleK < 0:
-		o.SampleK, o.SampleBudget = 0, 0
-	}
-	if req.SampleBudget > 0 {
-		o.SampleBudget = req.SampleBudget
-	}
-	o.Priors = req.Priors
 	if o.Shards >= 1 {
 		o.JournalCap = s.opts.JournalCap
 		o.RetryBudget = s.opts.ShardRetryBudget
@@ -299,11 +274,5 @@ func (s *Server) finishResult(out jobOutcome, err error, retries int) JobResult 
 	s.m.droppedEvents.Add(res.Stats.DroppedEvents)
 	s.m.backpressureStalls.Add(res.Stats.BackpressureStalls)
 	s.m.eventsShipped.Add(res.Stats.EventsShipped)
-	s.m.eventsSuppressed.Add(res.Stats.EventsSuppressed)
-	s.m.sitesDemoted.Add(res.Stats.SitesDemoted)
-	s.m.sitesRearmed.Add(res.Stats.SitesRearmed)
-	s.m.priorHighSites.Add(uint64(res.Stats.PriorHighSites))
-	s.m.priorLowSites.Add(uint64(res.Stats.PriorLowSites))
-	s.m.priorFastDemotions.Add(res.Stats.PriorFastDemotions)
 	return jr
 }

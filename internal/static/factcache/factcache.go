@@ -81,8 +81,7 @@ type FnEntry struct {
 
 // TierEntry is one kept access site's lock-discipline tier in
 // portable position-keyed form (the cached counterpart of
-// lockdiscipline.SiteTier; the runtime turns these into sampling
-// priors on warm compiles).
+// lockdiscipline.SiteTier).
 type TierEntry struct {
 	File  string `json:"file"`
 	Line  int32  `json:"line"`
@@ -146,7 +145,7 @@ func FnDigest(fn *ir.Func) string {
 }
 
 // SemDigest combines a function's content digest with the bits of
-// whole-program analysis that feed its elimination and priors: which
+// whole-program analysis that feed its elimination and tiers: which
 // of its accesses are in the static race set (in program order), each
 // access's discipline tier, the resolved callee names of each call
 // site, and whether it is a thread root.

@@ -22,11 +22,6 @@
 // methods on the same instance, so a ctor-vs-run pair over a
 // single-instance object cannot execute in parallel even though the
 // lockset formulation keeps it.
-//
-// The tier of a site doubles as a sampling prior for the dynamic
-// detector: unguarded and guarded-inconsistent sites are where the
-// sampler's budget should go, guarded-consistent sites are safe to
-// demote early.
 package lockdiscipline
 
 import (
@@ -84,7 +79,7 @@ type Pair struct {
 }
 
 // SiteTier is the portable (position-keyed) form of a site's tier,
-// used to carry priors across the fact cache and into the runtime.
+// used to carry tiers across the fact cache.
 type SiteTier struct {
 	File  string
 	Line  int32
@@ -278,8 +273,7 @@ func singleInstanceTarget(pts *pointsto.Result, s racestatic.AccessSite) bool {
 }
 
 // SiteTiers renders the tier map in portable, position-keyed form,
-// deterministically ordered. The fact cache stores these verbatim and
-// the runtime turns them into sampling priors.
+// deterministically ordered. The fact cache stores these verbatim.
 func (r *Result) SiteTiers() []SiteTier {
 	out := make([]SiteTier, 0, len(r.Tier))
 	for in, t := range r.Tier {

@@ -199,37 +199,6 @@ type Options struct {
 	// "panic:shard=1,event=100" (see internal/faultinject for the
 	// syntax). Empty disables injection; an invalid spec fails Detect.
 	FaultInjection string
-
-	// SampleK > 0 enables adaptive per-site throttling: a static
-	// access site that produces SampleK consecutive clean observations
-	// demotes to a counting-only stub, and is re-armed the moment the
-	// ownership table reports new-thread contact on a location the
-	// site touched. Stub suppression is per-location and write-aware:
-	// only traffic that provably cannot complete a race pair — against
-	// either concurrently suppressed accesses or the trie's shipped
-	// history — is dropped, plus all traffic on locations whose
-	// shipped history already guarantees a race report. Stable
-	// (recurring) races are therefore still reported; the residual
-	// blind spot is a race whose only occurrence is a single access
-	// at an already-demoted site.
-	// Requires the ownership filter (ignored with DisableOwnership).
-	// Sampling lives in the detector's filter, never the recorder:
-	// traces recorded with TraceTo capture the full stream, and replay
-	// with sampling on matches a live sampled run.
-	SampleK int
-	// SampleBudget, in (0, 1], targets a shipped-events ratio: the
-	// throttle halves or doubles K per 4096-event window to keep
-	// shipped/observed near the budget. Setting SampleBudget alone
-	// implies SampleK = 16 as the starting point.
-	SampleBudget float64
-	// Priors seeds the sampler with the static lock-discipline tiers:
-	// "on" pins statically unguarded and guarded-inconsistent sites
-	// armed and demotes guarded-consistent sites at a quarter of K;
-	// "invert" swaps the two (the ablation mode); "" or "off" ignores
-	// the tiers. Requires sampling (SampleK/SampleBudget) and static
-	// analysis; meaningless for trace replay, which has no compiled
-	// pipeline to take tiers from.
-	Priors string
 }
 
 func (o Options) config() core.Config {
@@ -271,9 +240,6 @@ func (o Options) config() core.Config {
 	cfg.ShardQueueDepth = o.ShardQueueDepth
 	cfg.DropOnBackpressure = o.DropOnBackpressure
 	cfg.FaultSpec = o.FaultInjection
-	cfg.SampleK = o.SampleK
-	cfg.SampleBudget = o.SampleBudget
-	cfg.Priors = o.Priors
 	switch o.Detector {
 	case Eraser:
 		cfg.Detector = core.DetEraser
@@ -364,32 +330,16 @@ type Stats struct {
 	BackpressureStalls uint64
 	QueueHighWater     int
 
-	// Adaptive-sampling counters (all zero unless Options.SampleK or
-	// Options.SampleBudget enabled throttling). The filter stages
-	// account for every observed event exactly once:
+	// EventsShipped counts events that reached the trie detector. The
+	// filter stages account for every observed event exactly once:
 	//
-	//	TraceEvents == EventsShipped + CacheHits + OwnerSkips + EventsSuppressed
-	//
-	// EventsShipped counts events that reached the trie detector;
-	// EventsSuppressed counts events absorbed by demoted sites.
-	EventsShipped    uint64
+	//	TraceEvents == EventsShipped + CacheHits + OwnerSkips
+	EventsShipped uint64
+	// EventsSuppressed is a compatibility shim for the removed per-site
+	// sampling layer and is always zero. It remains only because the
+	// repository benchmark still reads it, and can go together with that
+	// read in the next change to the benchmark.
 	EventsSuppressed uint64
-	// SitesSampled is the number of distinct static access sites seen;
-	// SitesDemoted / SitesRearmed count demotion and re-arm
-	// transitions (a site may cycle several times). SampleK is the
-	// throttle's K at exit (adaptive runs move it within [2, 1024]).
-	SitesSampled int
-	SitesDemoted uint64
-	SitesRearmed uint64
-	SampleK      int
-	// PriorHighSites / PriorLowSites count sites carrying a high
-	// (pinned armed) resp. low (fast-demoting) static discipline
-	// prior; PriorFastDemotions counts demotions that fired at the
-	// reduced low-prior threshold. All zero unless Options.Priors
-	// enabled prior seeding.
-	PriorHighSites     int
-	PriorLowSites      int
-	PriorFastDemotions uint64
 
 	// Fact-cache outcome of this run's compile (all zero when
 	// Options.FactCacheDir was empty). FactCacheProgramHit means the
@@ -674,14 +624,6 @@ func convert(res *core.RunResult) *Result {
 			BackpressureStalls:   res.DetectorStats.Recovery.BackpressureStalls,
 			QueueHighWater:       res.DetectorStats.Recovery.QueueHighWater,
 			EventsShipped:        res.DetectorStats.Shipped,
-			EventsSuppressed:     res.DetectorStats.Sample.Suppressed,
-			SitesSampled:         res.DetectorStats.Sample.Sites,
-			SitesDemoted:         res.DetectorStats.Sample.Demotions,
-			SitesRearmed:         res.DetectorStats.Sample.Rearms,
-			SampleK:              res.DetectorStats.Sample.CurrentK,
-			PriorHighSites:       res.DetectorStats.Sample.PriorHighSites,
-			PriorLowSites:        res.DetectorStats.Sample.PriorLowSites,
-			PriorFastDemotions:   res.DetectorStats.Sample.PriorFastDemotions,
 			FactCacheProgramHit:  res.FactCache.ProgramHit,
 			FactCacheFnHits:      res.FactCache.FnHits,
 			FactCacheFnMisses:    res.FactCache.FnMisses,
@@ -719,8 +661,9 @@ func raceFromReport(r detector.Report) Race {
 type FuzzOptions struct {
 	// Options configures each individual run (detector, pipeline
 	// ablations, quantum, timeout, livelock window, memory bounds).
-	// Seed, Stdout, RecordTo, and the schedule fields are ignored: the
-	// harness owns the seed sweep and records every schedule itself.
+	// Seed, Stdout, RecordTo, TraceTo, and the schedule fields are
+	// ignored: the harness owns the seed sweep and records every
+	// schedule itself, and parallel runs cannot share one trace writer.
 	Options Options
 
 	// Seeds lists the scheduler seeds to explore; when nil, seeds
@@ -810,6 +753,7 @@ func Fuzz(file, src string, opts FuzzOptions) (*FuzzResult, error) {
 	base := opts.Options
 	base.Stdout = nil
 	base.RecordTo = nil
+	base.TraceTo = nil
 	base.ReplaySchedule = nil
 	sum, err := harness.ExploreSource(file, src, harness.Options{
 		Config:         base.config(),

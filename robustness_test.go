@@ -67,6 +67,27 @@ func TestFuzzClassifiesStableRace(t *testing.T) {
 	}
 }
 
+// TestFuzzIgnoresTraceTo pins that parallel fuzz workers never share
+// the caller's trace writer: Fuzz ignores Options.TraceTo, so the
+// buffer stays empty and no worker writes to it concurrently.
+func TestFuzzIgnoresTraceTo(t *testing.T) {
+	var buf bytes.Buffer
+	res, err := Fuzz("racy.mj", racyProgram, FuzzOptions{
+		Options: Options{TraceTo: &buf},
+		Count:   8,
+		Workers: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != 8 || len(res.Findings) != 1 {
+		t.Fatalf("completed=%d findings=%+v", res.Completed, res.Findings)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("Fuzz wrote %d trace bytes to Options.TraceTo, want none", buf.Len())
+	}
+}
+
 func TestFuzzFindsScheduleDependentRace(t *testing.T) {
 	// Sanity: the fixed schedule misses it.
 	base, err := Detect("prog.mj", schedDepProgram, Options{})
