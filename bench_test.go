@@ -11,6 +11,7 @@
 package racedet
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"racedet/internal/core"
 	"racedet/internal/rt/cache"
 	"racedet/internal/rt/event"
+	"racedet/internal/rt/trace"
 	"racedet/internal/rt/trie"
 )
 
@@ -111,6 +113,55 @@ func BenchmarkSharded(b *testing.B) {
 			cfg := v.cfg
 			b.Run(name, func(b *testing.B) {
 				runPipeline(b, bm.Name, cfg)
+			})
+		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Trace replay: the detector's per-access path with no interpreter and
+// no compile. Each paper benchmark is recorded once under Full; every
+// iteration replays the trace (sequential decode) through a fresh
+// detector. ns/access is wall time per recorded access event.
+
+func BenchmarkReplay(b *testing.B) {
+	for _, name := range []string{"mtrt", "tsp", "sor2", "elevator", "hedc"} {
+		bm, err := bench.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		rec := core.Full()
+		rec.TraceTo = &buf
+		res, err := core.RunSource(name+".mj", bm.Source(), rec)
+		if err != nil || res.Err != nil {
+			b.Fatalf("%s: recording: %v/%v", name, err, res.Err)
+		}
+		rd, err := trace.NewReader(buf.Bytes())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			cfg  core.Config
+		}{
+			{"Full", core.Full()},
+			{"NoCache", core.Full().NoCache()},
+		} {
+			cfg := c.cfg
+			b.Run(name+"/"+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				var accesses uint64
+				for i := 0; i < b.N; i++ {
+					rr, err := core.ReplayTrace(rd, cfg, 1)
+					if err != nil || rr.Err != nil {
+						b.Fatalf("%v/%v", err, rr.Err)
+					}
+					accesses += rr.Interp.TraceEvents
+				}
+				if accesses > 0 {
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(accesses), "ns/access")
+				}
 			})
 		}
 	}
@@ -316,8 +367,8 @@ func BenchmarkAblationTrieVsFlat(b *testing.B) {
 	b.Run("Trie", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			d := trie.New()
-			for _, e := range stream {
-				d.Process(e)
+			for j := range stream {
+				d.Process(&stream[j])
 			}
 		}
 	})
@@ -337,16 +388,16 @@ func BenchmarkAblationTBot(b *testing.B) {
 	b.Run("WithTBot", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			d := trie.New()
-			for _, e := range stream {
-				d.Process(e)
+			for j := range stream {
+				d.Process(&stream[j])
 			}
 		}
 	})
 	b.Run("NoTBot", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			d := trie.NewNoTBot()
-			for _, e := range stream {
-				d.Process(e)
+			for j := range stream {
+				d.Process(&stream[j])
 			}
 		}
 	})
@@ -358,16 +409,16 @@ func BenchmarkAblationPackedTrie(b *testing.B) {
 	b.Run("PerLocation", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			d := trie.New()
-			for _, e := range stream {
-				d.Process(e)
+			for j := range stream {
+				d.Process(&stream[j])
 			}
 		}
 	})
 	b.Run("Packed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			d := trie.NewPacked()
-			for _, e := range stream {
-				d.Process(e)
+			for j := range stream {
+				d.Process(&stream[j])
 			}
 		}
 	})

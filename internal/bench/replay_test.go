@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 
 	"racedet/internal/core"
+	"racedet/internal/rt/detector"
 )
 
 // TestReplayCellsMatchLive pins the replay axis's correctness claim:
@@ -60,5 +62,45 @@ func TestEventsPerSec(t *testing.T) {
 	}
 	if got := eventsPerSec(100, 0); got != 0 {
 		t.Errorf("zero ns: got %d", got)
+	}
+}
+
+// TestReplaySeedIndependent replays each paper trace through two fresh
+// serial detectors. Their location tables draw different hash seeds,
+// so any dependence on table iteration order would show up as a
+// difference in reports or counters.
+func TestReplaySeedIndependent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every benchmark")
+	}
+	cells, err := replayCells(JSONOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cl := range cells {
+		if cl.cfgName != "ReplayFull" {
+			continue
+		}
+		for _, opts := range []detector.Options{{}, {NoCache: true}} {
+			var reports [2]string
+			var stats [2]detector.Stats
+			var nodes [2]int
+			for i := range reports {
+				d := detector.New(opts)
+				d.SetDescribeObj(cl.rd.DescribeObj)
+				if _, err := cl.rd.Replay(d, 1); err != nil {
+					t.Fatalf("%s: %v", cl.bench, err)
+				}
+				reports[i] = fmt.Sprintf("%+v", d.Reports())
+				stats[i], nodes[i] = d.Stats(), d.TrieNodeCount()
+			}
+			if reports[0] != reports[1] {
+				t.Errorf("%s %+v: reports differ:\n%s\n%s", cl.bench, opts, reports[0], reports[1])
+			}
+			if stats[0] != stats[1] || nodes[0] != nodes[1] {
+				t.Errorf("%s %+v: stats differ:\n%+v (%d nodes)\n%+v (%d nodes)",
+					cl.bench, opts, stats[0], nodes[0], stats[1], nodes[1])
+			}
+		}
 	}
 }

@@ -48,16 +48,56 @@ type entry struct {
 // slots[Size:] the write cache.
 type threadCache struct {
 	slots [2 * Size]entry
-	// lists maps a lock to the 1-based slots index of its eviction
-	// list head (0/absent = empty). Heads are dummy-free.
-	lists map[event.ObjID]int32
+	// lists holds the head of each non-empty per-lock eviction list, in
+	// the order the lists were started. Only locks the thread still
+	// holds have lists, and the lock an Insert files under is the most
+	// recently acquired one, so a scan from the top is short.
+	lists []lockList
 	// lastUse is the logical time of the thread's most recent cache
 	// operation; the bounded mode evicts the least recently used
 	// thread cache when over budget.
 	lastUse uint64
 }
 
-// unlink removes slot i from its eviction list (not from the map —
+// lockList is one per-lock eviction list: the lock and the 1-based
+// slots index of the list head. Heads are dummy-free.
+type lockList struct {
+	lock event.ObjID
+	head int32
+}
+
+// list returns the index in tc.lists of lock's eviction list, or -1.
+func (tc *threadCache) list(lock event.ObjID) int {
+	for i := len(tc.lists) - 1; i >= 0; i-- {
+		if tc.lists[i].lock == lock {
+			return i
+		}
+	}
+	return -1
+}
+
+// dropList removes tc.lists[i], keeping the others in order.
+func (tc *threadCache) dropList(i int) {
+	tc.lists = append(tc.lists[:i], tc.lists[i+1:]...)
+}
+
+// detach unlinks slot i from its eviction list, moving the list head
+// past it first when i is the head; a list left empty is dropped.
+func (tc *threadCache) detach(i int32) {
+	e := &tc.slots[i-1]
+	if e.hasL {
+		if j := tc.list(e.lock); j >= 0 && tc.lists[j].head == i {
+			if e.next == 0 {
+				tc.dropList(j)
+			} else {
+				tc.lists[j].head = e.next
+			}
+		}
+	}
+	tc.unlink(i)
+}
+
+// unlink removes slot i from its eviction list (not from tc.lists —
 // callers fix the head first when i is the head).
 func (tc *threadCache) unlink(i int32) {
 	e := &tc.slots[i-1]
@@ -68,10 +108,6 @@ func (tc *threadCache) unlink(i int32) {
 		tc.slots[e.next-1].prev = e.prev
 	}
 	e.prev, e.next = 0, 0
-}
-
-func newThreadCache() *threadCache {
-	return &threadCache{lists: make(map[event.ObjID]int32)}
 }
 
 // Stats counts cache work for the Table 2 harness.
@@ -121,7 +157,7 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // Clone returns a deep copy of the cache layer for checkpointing.
 // Eviction-list links are slot indices local to each thread cache, so
-// the per-thread copies are plain struct copies plus a map copy.
+// the per-thread copies are plain struct copies plus a slice copy.
 func (c *Cache) Clone() *Cache {
 	nc := &Cache{
 		threads:    make([]*threadCache, len(c.threads)),
@@ -140,16 +176,10 @@ func (c *Cache) Clone() *Cache {
 
 func (tc *threadCache) clone() *threadCache {
 	// Links are slot indices, not pointers, so a struct copy of the
-	// arrays is already a correct deep copy; only the map needs work.
-	nt := &threadCache{
-		slots:   tc.slots,
-		lastUse: tc.lastUse,
-		lists:   make(map[event.ObjID]int32, len(tc.lists)),
-	}
-	for lock, head := range tc.lists {
-		nt.lists[lock] = head
-	}
-	return nt
+	// arrays is already a correct deep copy; only the slice needs work.
+	nt := *tc
+	nt.lists = append([]lockList(nil), tc.lists...)
+	return &nt
 }
 
 // index is the direct-mapped hash: multiply by a odd constant and take
@@ -167,7 +197,7 @@ func (c *Cache) forThread(t event.ThreadID) *threadCache {
 	}
 	tc := c.threads[i]
 	if tc == nil {
-		tc = newThreadCache()
+		tc = &threadCache{}
 		c.threads[i] = tc
 		c.live++
 		if c.maxThreads > 0 && c.live > c.maxThreads {
@@ -243,25 +273,25 @@ func (c *Cache) Insert(t event.ThreadID, loc event.Loc, kind event.Kind, top eve
 	e := &tc.slots[i-1]
 	if e.valid {
 		// Conflict eviction: drop the previous occupant from its list.
-		if e.hasL && tc.lists[e.lock] == i {
-			tc.lists[e.lock] = e.next
-		}
-		tc.unlink(i)
+		tc.detach(i)
 		c.stats.Evictions++
 	}
 	e.loc = loc
 	e.valid = true
 	e.hasL = ok
 	e.prev, e.next = 0, 0
-	if ok {
-		e.lock = top
-		if head := tc.lists[top]; head != 0 {
-			e.next = head
-			tc.slots[head-1].prev = i
-		}
-		tc.lists[top] = i
-	} else {
+	if !ok {
 		e.lock = 0
+		return
+	}
+	e.lock = top
+	if j := tc.list(top); j >= 0 {
+		head := tc.lists[j].head
+		e.next = head
+		tc.slots[head-1].prev = i
+		tc.lists[j].head = i
+	} else {
+		tc.lists = append(tc.lists, lockList{lock: top, head: i})
 	}
 }
 
@@ -276,8 +306,11 @@ func (c *Cache) LockReleased(t event.ThreadID, lock event.ObjID) {
 	if tc == nil {
 		return
 	}
-	i := tc.lists[lock]
-	for i != 0 {
+	j := tc.list(lock)
+	if j < 0 {
+		return
+	}
+	for i := tc.lists[j].head; i != 0; {
 		e := &tc.slots[i-1]
 		next := e.next
 		e.valid = false
@@ -285,7 +318,7 @@ func (c *Cache) LockReleased(t event.ThreadID, lock event.ObjID) {
 		c.stats.Evictions++
 		i = next
 	}
-	delete(tc.lists, lock)
+	tc.dropList(j)
 }
 
 // EvictLocation removes loc from every thread's caches (both kinds).
@@ -301,10 +334,7 @@ func (c *Cache) EvictLocation(loc event.Loc) {
 		for _, i := range [2]int32{ri, ri + Size} {
 			e := &tc.slots[i-1]
 			if e.valid && e.loc == loc {
-				if e.hasL && tc.lists[e.lock] == i {
-					tc.lists[e.lock] = e.next
-				}
-				tc.unlink(i)
+				tc.detach(i)
 				e.valid = false
 				c.stats.Evictions++
 			}

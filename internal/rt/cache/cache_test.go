@@ -211,6 +211,39 @@ func TestPolicyInvariant(t *testing.T) {
 					logs[tid] = append(logs[tid], refEntry{loc: l, kind: kind, locks: heldSet(tid)})
 				}
 			}
+			checkLists(t, c, tid, stacks[tid])
+		}
+	}
+}
+
+// checkLists verifies tid's eviction lists: one list per lock, only
+// for locks the thread holds, each non-empty, and every linked entry
+// valid, filed under that lock and linked back to its predecessor.
+func checkLists(t *testing.T, c *Cache, tid event.ThreadID, held []event.ObjID) {
+	t.Helper()
+	if int(tid) >= len(c.threads) || c.threads[tid] == nil {
+		return
+	}
+	tc := c.threads[tid]
+	seen := map[event.ObjID]bool{}
+	for _, ll := range tc.lists {
+		if seen[ll.lock] {
+			t.Fatalf("thread %v: two lists for lock %v", tid, ll.lock)
+		}
+		seen[ll.lock] = true
+		if !event.NewLockset(held...).Contains(ll.lock) {
+			t.Fatalf("thread %v: list for released lock %v", tid, ll.lock)
+		}
+		if ll.head == 0 {
+			t.Fatalf("thread %v: empty list for lock %v kept", tid, ll.lock)
+		}
+		prev := int32(0)
+		for i := ll.head; i != 0; i = tc.slots[i-1].next {
+			e := &tc.slots[i-1]
+			if !e.valid || !e.hasL || e.lock != ll.lock || e.prev != prev {
+				t.Fatalf("thread %v: lock %v list corrupt at slot %d: %+v", tid, ll.lock, i, *e)
+			}
+			prev = i
 		}
 	}
 }

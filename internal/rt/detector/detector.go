@@ -195,7 +195,7 @@ type RecoveryStats struct {
 // history is the per-location access store: the per-location trie,
 // its t⊥ ablation, or the §8.2 packed multi-location trie.
 type history interface {
-	Process(event.Access) (bool, trie.RaceInfo)
+	Process(*event.Access) (bool, trie.RaceInfo)
 	Stats() trie.Stats
 	NodeCount() int
 	LocationCount() int
@@ -252,10 +252,10 @@ func newTrieStage(h history, reportAll bool) trieStage {
 }
 
 // ship implements survivorSink: run the trie and report a race.
-func (ts *trieStage) ship(a event.Access, seq uint64) {
+func (ts *trieStage) ship(a *event.Access, seq uint64) {
 	if race, info := ts.hist.Process(a); race {
 		ts.record(Report{
-			Access:      a,
+			Access:      *a,
 			PriorThread: info.PriorThread,
 			PriorLocks:  info.PriorLocks,
 			PriorKind:   info.PriorKind,

@@ -10,10 +10,11 @@ import (
 // its filter layers, with the merged location and the lock environment
 // already materialized. seq is the access's detection-order stamp (the
 // running Shipped count). The serial detector's sink is its trie stage;
-// the sharded back end's is its router. The event goes by value, so it
-// never escapes to the heap.
+// the sharded back end's is its router. a points at the front end's
+// scratch event, valid only for the call: a sink copies *a if it keeps
+// the event and never retains the pointer.
 type survivorSink interface {
-	ship(a event.Access, seq uint64)
+	ship(a *event.Access, seq uint64)
 }
 
 // front is the filter front end both back ends share. It implements
@@ -32,6 +33,12 @@ type front struct {
 	owner  *ownership.Table
 	stats  Stats // filter counters; Trie and Recovery stay zero
 	out    survivorSink
+
+	// scratch is the survivor under construction in deliver. It lives
+	// here rather than on deliver's stack because its address crosses
+	// the survivorSink interface: a local would escape and cost one
+	// heap allocation per shipped access.
+	scratch event.Access
 }
 
 func newFront(opts Options) front {
@@ -163,12 +170,13 @@ func (f *front) cacheInsert(t event.ThreadID, loc event.Loc, kind event.Kind) {
 	}
 }
 
-// deliver ships a filter survivor: materialize its merged location and
-// (interned) lockset, hand the event by value to the survivor sink, and
-// cache it. The caller's *a is never mutated.
+// deliver ships a filter survivor: build it in f.scratch with its
+// merged location and (interned) lockset, hand it to the survivor sink
+// by pointer, and cache it. The caller's *a is never mutated.
 func (f *front) deliver(a *event.Access, loc event.Loc) {
 	f.stats.Shipped++
-	s := *a
+	s := &f.scratch
+	*s = *a
 	s.Loc = loc
 	s.Locks = f.locks.Held(s.Thread) // immutable canonical slice
 	s.LockID = f.locks.HeldID(s.Thread)

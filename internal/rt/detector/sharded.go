@@ -274,8 +274,8 @@ func (w *worker) run(wg *sync.WaitGroup) {
 
 // process applies one routed batch to the shard's trie slice.
 func (w *worker) process(batch shardBatch) {
-	for _, sa := range batch {
-		w.access(sa)
+	for i := range batch {
+		w.access(&batch[i])
 	}
 }
 
@@ -293,7 +293,7 @@ func (w *worker) recycle(batch shardBatch) {
 }
 
 // access runs one routed access through the shard's trie stage.
-func (w *worker) access(sa shardAccess) {
+func (w *worker) access(sa *shardAccess) {
 	w.events++
 	if f := w.opts.Faults; f != nil {
 		// Fault-injection hook: may sleep (slow worker) or panic. A
@@ -301,7 +301,7 @@ func (w *worker) access(sa shardAccess) {
 		// exactly what the supervision tests need.
 		f.WorkerEvent(w.idx, w.events)
 	}
-	w.stage.ship(sa.a, sa.seq)
+	w.stage.ship(&sa.a, sa.seq)
 }
 
 // shardOf hashes a location to a worker, using the same mixing
@@ -358,12 +358,12 @@ func (s *Sharded) flushShard(i int) {
 
 // ship implements survivorSink — the router: append the survivor to
 // its shard's pending batch, flushing the batch when it is full.
-func (s *Sharded) ship(a event.Access, seq uint64) {
+func (s *Sharded) ship(a *event.Access, seq uint64) {
 	i := shardOf(a.Loc, len(s.workers))
 	if s.pending[i] == nil {
 		s.pending[i] = s.acquireBatch(i)
 	}
-	s.pending[i] = append(s.pending[i], shardAccess{a: a, seq: seq})
+	s.pending[i] = append(s.pending[i], shardAccess{a: *a, seq: seq})
 	if len(s.pending[i]) >= s.batch {
 		s.flushShard(i)
 	}

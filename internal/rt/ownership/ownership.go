@@ -22,12 +22,13 @@ const (
 )
 
 // sharedOwner is the in-table marker for the shared state; it keeps
-// the table a single map so the per-access path does one lookup.
+// the owner table a single LocTable so the per-access path does one
+// probe.
 const sharedOwner event.ThreadID = -9
 
 // Table tracks per-location owners.
 type Table struct {
-	owner       map[event.Loc]event.ThreadID
+	owner       *event.LocTable[event.ThreadID]
 	transitions uint64
 
 	// maxLocations caps the table (0 = unbounded). Locations that
@@ -39,18 +40,17 @@ type Table struct {
 	overflows    uint64
 }
 
-// initialLocations pre-sizes the owner map. Growing a Go map to n
-// entries through incremental doubling allocates roughly twice the
-// final bucket footprint in garbage; on the paper benchmarks the
-// ownership table was the single largest allocation site (44% of
-// bytes on tsp), so starting at a realistic size is an easy win — a
-// few KB of fixed cost for small programs, half the table garbage for
-// big ones.
+// initialLocations pre-sizes the owner table. Growing it to n entries
+// through doubling allocates about as much again in garbage; on the
+// paper benchmarks the ownership table was once the single largest
+// allocation site (44% of bytes on tsp, as a Go map), so starting at
+// a realistic size is an easy win: 48 KB of fixed cost for small
+// programs, half the table garbage for big ones.
 const initialLocations = 1 << 10
 
 // New returns an empty ownership table.
 func New() *Table {
-	return &Table{owner: make(map[event.Loc]event.ThreadID, initialLocations)}
+	return &Table{owner: event.NewLocTable[event.ThreadID](initialLocations)}
 }
 
 // NewBounded returns an ownership table tracking at most maxLocations
@@ -63,16 +63,9 @@ func NewBounded(maxLocations int) *Table {
 
 // Clone returns a deep copy of the table for checkpointing.
 func (tb *Table) Clone() *Table {
-	nt := &Table{
-		owner:        make(map[event.Loc]event.ThreadID, len(tb.owner)),
-		transitions:  tb.transitions,
-		maxLocations: tb.maxLocations,
-		overflows:    tb.overflows,
-	}
-	for loc, o := range tb.owner {
-		nt.owner[loc] = o
-	}
-	return nt
+	nt := *tb
+	nt.owner = tb.owner.Clone()
+	return &nt
 }
 
 // Filter processes an access by thread t to loc. It returns true if
@@ -81,25 +74,25 @@ func (tb *Table) Clone() *Table {
 // becameShared additionally signals the owned→shared transition so the
 // caller can evict the location from all caches (§7.2).
 func (tb *Table) Filter(t event.ThreadID, loc event.Loc) (forward, becameShared bool) {
-	owner, seen := tb.owner[loc]
+	owner := tb.owner.Ref(loc)
 	switch {
-	case !seen:
-		if tb.maxLocations > 0 && len(tb.owner) >= tb.maxLocations {
+	case owner == nil:
+		if tb.maxLocations > 0 && tb.owner.Len() >= tb.maxLocations {
 			// Table full: the location is never tracked and acts as
 			// shared from its first access on.
 			tb.overflows++
 			return true, false
 		}
-		tb.owner[loc] = t
+		tb.owner.Put(loc, t)
 		return false, false
-	case owner == t:
+	case *owner == t:
 		return false, false
-	case owner == sharedOwner:
+	case *owner == sharedOwner:
 		return true, false
 	default:
 		// Second thread: the location becomes shared; this access and
 		// all subsequent ones go to the detector.
-		tb.owner[loc] = sharedOwner
+		*owner = sharedOwner
 		tb.transitions++
 		return true, true
 	}
@@ -107,7 +100,7 @@ func (tb *Table) Filter(t event.ThreadID, loc event.Loc) (forward, becameShared 
 
 // StateOf reports the current ownership state of loc (tests).
 func (tb *Table) StateOf(loc event.Loc) State {
-	owner, seen := tb.owner[loc]
+	owner, seen := tb.owner.Get(loc)
 	switch {
 	case !seen:
 		return Unowned
@@ -125,7 +118,7 @@ func (tb *Table) SharedCount() int { return int(tb.transitions) }
 func (tb *Table) Transitions() uint64 { return tb.transitions }
 
 // Locations returns the number of tracked locations (space metric).
-func (tb *Table) Locations() int { return len(tb.owner) }
+func (tb *Table) Locations() int { return tb.owner.Len() }
 
 // Overflows returns the number of accesses forwarded because the
 // bounded table was full (0 in unbounded mode).

@@ -1,14 +1,16 @@
 package trie
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"racedet/internal/rt/event"
 )
 
 // locAcc is acc with an explicit location, for multi-location tests.
-func locAcc(obj event.ObjID, t event.ThreadID, kind event.Kind, locks ...event.ObjID) event.Access {
-	return event.Access{
+func locAcc(obj event.ObjID, t event.ThreadID, kind event.Kind, locks ...event.ObjID) *event.Access {
+	return &event.Access{
 		Loc:    event.Loc{Obj: obj, Slot: 0},
 		Thread: t,
 		Kind:   kind,
@@ -20,7 +22,7 @@ func TestBoundedBehavesLikeUnboundedUnderBudget(t *testing.T) {
 	// With a generous budget the bounded detector must be bit-identical
 	// to the unbounded one: same verdicts, no degradation counters.
 	d1, d2 := New(), NewBounded(1<<20)
-	events := []event.Access{
+	events := []*event.Access{
 		locAcc(1, 1, event.Write, 100),
 		locAcc(1, 2, event.Write, 200),
 		locAcc(2, 1, event.Read),
@@ -122,5 +124,43 @@ func TestBoundedCollapsesLargestFirst(t *testing.T) {
 	}
 	if race, _ := d.Process(locAcc(2, 1, event.Read)); race {
 		t.Error("thin location collapsed although the fat one sufficed")
+	}
+}
+
+// TestBoundedSeedIndependent feeds one collapse-heavy stream to two
+// bounded detectors. Their location tables draw different hash seeds,
+// so they iterate in different orders; collapse victim choice must
+// not depend on that order. Equal-sized tries are common in the stream,
+// so the tie-break is what keeps the two runs identical.
+func TestBoundedSeedIndependent(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d1, d2 := NewBounded(24), NewBounded(24)
+		for i := 0; i < 3000; i++ {
+			locks := make([]event.ObjID, rng.Intn(3))
+			for j := range locks {
+				locks[j] = event.ObjID(100 + rng.Intn(6))
+			}
+			e := &event.Access{
+				Loc:    event.Loc{Obj: event.ObjID(rng.Intn(40) - 5), Slot: int32(rng.Intn(3)) - 2},
+				Thread: event.ThreadID(rng.Intn(3)),
+				Kind:   event.Kind(rng.Intn(2)),
+				Locks:  event.NewLockset(locks...),
+			}
+			r1, i1 := d1.Process(e)
+			r2, i2 := d2.Process(e)
+			if r1 != r2 || !reflect.DeepEqual(i1, i2) {
+				t.Fatalf("seed %d event %d: (%v, %+v) vs (%v, %+v)", seed, i, r1, i1, r2, i2)
+			}
+		}
+		if d1.Stats() != d2.Stats() {
+			t.Errorf("seed %d: stats differ:\n%+v\n%+v", seed, d1.Stats(), d2.Stats())
+		}
+		if d1.Stats().Collapses == 0 {
+			t.Errorf("seed %d: stream never collapsed", seed)
+		}
+		if n1, n2 := d1.NodeCount(), d2.NodeCount(); n1 != n2 {
+			t.Errorf("seed %d: node counts %d vs %d", seed, n1, n2)
+		}
 	}
 }

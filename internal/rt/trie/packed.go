@@ -160,7 +160,7 @@ func (d *Packed) LocationCount() int { return len(d.locs) }
 
 // Process runs the §3.2.1 algorithm for one access event against the
 // packed representation.
-func (d *Packed) Process(e event.Access) (bool, RaceInfo) {
+func (d *Packed) Process(e *event.Access) (bool, RaceInfo) {
 	d.stats.Events++
 	root := d.tries[e.Loc.Obj]
 	if root == nil {
@@ -189,7 +189,7 @@ func (d *Packed) Process(e event.Access) (bool, RaceInfo) {
 	return race, info
 }
 
-func (d *Packed) weaker(n *pnode, rest event.Lockset, slot int32, e event.Access) bool {
+func (d *Packed) weaker(n *pnode, rest event.Lockset, slot int32, e *event.Access) bool {
 	d.stats.NodesVisited++
 	if st, ok := n.slot(slot); ok &&
 		event.ThreadLeq(st.thread, e.Thread) && event.KindLeq(st.kind, e.Kind) {
@@ -205,7 +205,7 @@ func (d *Packed) weaker(n *pnode, rest event.Lockset, slot int32, e event.Access
 	return false
 }
 
-func (d *Packed) raceCheck(n *pnode, path event.Lockset, slot int32, e event.Access, race *bool, info *RaceInfo) {
+func (d *Packed) raceCheck(n *pnode, path event.Lockset, slot int32, e *event.Access, race *bool, info *RaceInfo) {
 	if *race {
 		return
 	}
@@ -234,7 +234,7 @@ func (d *Packed) raceCheck(n *pnode, path event.Lockset, slot int32, e event.Acc
 	}
 }
 
-func (d *Packed) update(root *pnode, slot int32, e event.Access) {
+func (d *Packed) update(root *pnode, slot int32, e *event.Access) {
 	n := root
 	for _, l := range e.Locks {
 		c, created := n.ensureChild(l)

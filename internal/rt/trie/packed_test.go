@@ -40,8 +40,8 @@ func TestPackedEquivalence(t *testing.T) {
 				Kind:   kind,
 				Locks:  event.NewLockset(locks...),
 			}
-			r1, _ := plain.Process(e)
-			r2, _ := packed.Process(e)
+			r1, _ := plain.Process(&e)
+			r2, _ := packed.Process(&e)
 			if r1 {
 				plainRaced[loc] = true
 			}
@@ -75,8 +75,8 @@ func TestPackedSharesNodesAcrossSlots(t *testing.T) {
 			Kind:   event.Write,
 			Locks:  event.NewLockset(100, 200),
 		}
-		plain.Process(e)
-		packed.Process(e)
+		plain.Process(&e)
+		packed.Process(&e)
 	}
 	pn := plain.NodeCount()  // 16 tries × 3 nodes
 	kn := packed.NodeCount() // 1 trie × 3 nodes
@@ -94,16 +94,16 @@ func TestPackedSharesNodesAcrossSlots(t *testing.T) {
 func TestPackedSlotsDoNotInteract(t *testing.T) {
 	d := NewPacked()
 	// Slot 0: two threads, no locks (race). Slot 1: single thread.
-	d.Process(event.Access{Loc: event.Loc{Obj: 1, Slot: 0}, Thread: 1, Kind: event.Write, Locks: event.Lockset{}})
-	d.Process(event.Access{Loc: event.Loc{Obj: 1, Slot: 1}, Thread: 2, Kind: event.Write, Locks: event.Lockset{}})
+	d.Process(&event.Access{Loc: event.Loc{Obj: 1, Slot: 0}, Thread: 1, Kind: event.Write, Locks: event.Lockset{}})
+	d.Process(&event.Access{Loc: event.Loc{Obj: 1, Slot: 1}, Thread: 2, Kind: event.Write, Locks: event.Lockset{}})
 	// Slot 1 by thread 2 only: no race even though slot 0 was touched
 	// by thread 1 on the same object.
-	race, _ := d.Process(event.Access{Loc: event.Loc{Obj: 1, Slot: 1}, Thread: 2, Kind: event.Read, Locks: event.Lockset{}})
+	race, _ := d.Process(&event.Access{Loc: event.Loc{Obj: 1, Slot: 1}, Thread: 2, Kind: event.Read, Locks: event.Lockset{}})
 	if race {
 		t.Fatal("slots must not interact")
 	}
 	// Slot 0 by thread 2: race.
-	race, info := d.Process(event.Access{Loc: event.Loc{Obj: 1, Slot: 0}, Thread: 2, Kind: event.Write, Locks: event.Lockset{}})
+	race, info := d.Process(&event.Access{Loc: event.Loc{Obj: 1, Slot: 0}, Thread: 2, Kind: event.Write, Locks: event.Lockset{}})
 	if !race {
 		t.Fatal("slot 0 must race")
 	}
@@ -114,17 +114,17 @@ func TestPackedSlotsDoNotInteract(t *testing.T) {
 
 func TestPackedPruning(t *testing.T) {
 	d := NewPacked()
-	d.Process(event.Access{Loc: event.Loc{Obj: 1, Slot: 0}, Thread: 1, Kind: event.Read, Locks: event.NewLockset(100, 200)})
-	d.Process(event.Access{Loc: event.Loc{Obj: 1, Slot: 0}, Thread: 1, Kind: event.Write, Locks: event.Lockset{}})
+	d.Process(&event.Access{Loc: event.Loc{Obj: 1, Slot: 0}, Thread: 1, Kind: event.Read, Locks: event.NewLockset(100, 200)})
+	d.Process(&event.Access{Loc: event.Loc{Obj: 1, Slot: 0}, Thread: 1, Kind: event.Write, Locks: event.Lockset{}})
 	if d.Stats().NodesPruned == 0 {
 		t.Error("stronger slot entry should be pruned")
 	}
 	// The pruned chain is swept only if no other slot occupies it.
 	d2 := NewPacked()
-	d2.Process(event.Access{Loc: event.Loc{Obj: 1, Slot: 0}, Thread: 1, Kind: event.Read, Locks: event.NewLockset(100)})
-	d2.Process(event.Access{Loc: event.Loc{Obj: 1, Slot: 1}, Thread: 1, Kind: event.Read, Locks: event.NewLockset(100)})
+	d2.Process(&event.Access{Loc: event.Loc{Obj: 1, Slot: 0}, Thread: 1, Kind: event.Read, Locks: event.NewLockset(100)})
+	d2.Process(&event.Access{Loc: event.Loc{Obj: 1, Slot: 1}, Thread: 1, Kind: event.Read, Locks: event.NewLockset(100)})
 	before := d2.NodeCount()
-	d2.Process(event.Access{Loc: event.Loc{Obj: 1, Slot: 0}, Thread: 1, Kind: event.Write, Locks: event.Lockset{}})
+	d2.Process(&event.Access{Loc: event.Loc{Obj: 1, Slot: 0}, Thread: 1, Kind: event.Write, Locks: event.Lockset{}})
 	after := d2.NodeCount()
 	if after != before {
 		t.Errorf("chain still hosting slot 1 must survive: %d -> %d", before, after)

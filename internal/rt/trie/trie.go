@@ -121,7 +121,9 @@ type Stats struct {
 
 // Detector is the per-program trie detector: one trie per location.
 type Detector struct {
-	tries map[event.Loc]*node
+	// tries maps each location to its trie root. Roots are never
+	// removed (a collapse keeps the root), so the table only grows.
+	tries *event.LocTable[*node]
 	stats Stats
 
 	// UseTBot controls the t⊥ space optimization. The paper always
@@ -148,7 +150,7 @@ type Detector struct {
 // New returns an empty detector with the paper's configuration.
 func New() *Detector {
 	return &Detector{
-		tries:   make(map[event.Loc]*node),
+		tries:   event.NewLocTable[*node](0),
 		UseTBot: true,
 		pathBuf: make(event.Lockset, 0, 64),
 	}
@@ -177,7 +179,7 @@ func (d *Detector) priorLocks(path event.Lockset) event.Lockset {
 // never change what any future Intern call returns.
 func (d *Detector) Clone() *Detector {
 	nd := &Detector{
-		tries:     make(map[event.Loc]*node, len(d.tries)),
+		tries:     event.NewLocTable[*node](d.tries.Len()),
 		stats:     d.stats,
 		UseTBot:   d.UseTBot,
 		maxNodes:  d.maxNodes,
@@ -188,9 +190,9 @@ func (d *Detector) Clone() *Detector {
 	if !d.UseTBot {
 		nd.threads = make(map[*node]map[event.ThreadID]struct{}, len(d.threads))
 	}
-	for loc, root := range d.tries {
-		nd.tries[loc] = d.cloneNode(root, nd)
-	}
+	d.tries.Range(func(loc event.Loc, root *node) {
+		nd.tries.Put(loc, d.cloneNode(root, nd))
+	})
 	return nd
 }
 
@@ -251,27 +253,26 @@ func (d *Detector) NodeCount() int {
 			walk(k)
 		}
 	}
-	for _, root := range d.tries {
-		walk(root)
-	}
+	d.tries.Range(func(_ event.Loc, root *node) { walk(root) })
 	return n
 }
 
 // LocationCount returns the number of distinct locations with history.
-func (d *Detector) LocationCount() int { return len(d.tries) }
+func (d *Detector) LocationCount() int { return d.tries.Len() }
 
 // Process runs the full §3.2.1 algorithm on one access event. It
 // returns (race, info) where race reports whether e races with some
 // stored access; info describes the prior access.
 //
 // The caller is responsible for lockset canonicalization (e.Locks
-// sorted, duplicate-free).
-func (d *Detector) Process(e event.Access) (bool, RaceInfo) {
+// sorted, duplicate-free). e is read, never retained: the event goes
+// by pointer only to spare the 96-byte copy per call.
+func (d *Detector) Process(e *event.Access) (bool, RaceInfo) {
 	d.stats.Events++
-	root := d.tries[e.Loc]
+	root, _ := d.tries.Get(e.Loc)
 	if root == nil {
 		root = newNode()
-		d.tries[e.Loc] = root
+		d.tries.Put(e.Loc, root)
 		d.stats.NodesAllocated++
 		d.stats.LocationsStored++
 		d.liveNodes++
@@ -331,16 +332,18 @@ func subtreeSize(x *node) int {
 func (d *Detector) enforceBudget() {
 	type fat struct {
 		loc  event.Loc
+		root *node
 		size int
 	}
 	var tries []fat
-	for loc, root := range d.tries {
+	d.tries.Range(func(loc event.Loc, root *node) {
 		if !root.collapsed {
-			tries = append(tries, fat{loc, subtreeSize(root)})
+			tries = append(tries, fat{loc, root, subtreeSize(root)})
 		}
-	}
-	// Largest first; ties broken by location so the map iteration
-	// order above cannot leak into behavior (replay determinism).
+	})
+	// Largest first; ties broken by location so the table's seeded
+	// iteration order above cannot leak into behavior (replay
+	// determinism).
 	sort.Slice(tries, func(i, j int) bool {
 		if tries[i].size != tries[j].size {
 			return tries[i].size > tries[j].size
@@ -354,7 +357,7 @@ func (d *Detector) enforceBudget() {
 		if d.liveNodes <= d.maxNodes {
 			return
 		}
-		d.collapse(d.tries[f.loc], f.size)
+		d.collapse(f.root, f.size)
 	}
 }
 
@@ -385,7 +388,7 @@ func (d *Detector) dropThreadSets(x *node) {
 // walks only edges labeled with locks in rest (a suffix of e.Locks in
 // canonical order), so every visited node's lockset is a subset of
 // e.Locks.
-func (d *Detector) weaker(n *node, rest event.Lockset, e event.Access) bool {
+func (d *Detector) weaker(n *node, rest event.Lockset, e *event.Access) bool {
 	d.stats.NodesVisited++
 	if n.hasAccess() && event.ThreadLeq(n.thread, e.Thread) && event.KindLeq(n.kind, e.Kind) {
 		return true
@@ -402,7 +405,7 @@ func (d *Detector) weaker(n *node, rest event.Lockset, e event.Access) bool {
 
 // raceCheck performs the Case I/II/III traversal. path is the lockset
 // along the way (for reporting).
-func (d *Detector) raceCheck(n *node, path event.Lockset, e event.Access, race *bool, info *RaceInfo) {
+func (d *Detector) raceCheck(n *node, path event.Lockset, e *event.Access, race *bool, info *RaceInfo) {
 	if *race {
 		return
 	}
@@ -450,7 +453,7 @@ func (d *Detector) reportableThread(n *node, cur event.ThreadID) event.ThreadID 
 
 // update meets e into the node for exactly e.Locks and prunes stored
 // accesses that the updated node makes redundant.
-func (d *Detector) update(root *node, e event.Access) {
+func (d *Detector) update(root *node, e *event.Access) {
 	n := root
 	for _, l := range e.Locks {
 		c, created := n.ensureChild(l)

@@ -7,8 +7,8 @@ import (
 	"racedet/internal/rt/event"
 )
 
-func acc(t event.ThreadID, kind event.Kind, locks ...event.ObjID) event.Access {
-	return event.Access{
+func acc(t event.ThreadID, kind event.Kind, locks ...event.ObjID) *event.Access {
+	return &event.Access{
 		Loc:    event.Loc{Obj: 1, Slot: 0},
 		Thread: t,
 		Kind:   kind,
@@ -135,8 +135,8 @@ func TestDistinctLocationsIndependent(t *testing.T) {
 	d := New()
 	a := event.Access{Loc: event.Loc{Obj: 1, Slot: 0}, Thread: 1, Kind: event.Write, Locks: event.Lockset{}}
 	b := event.Access{Loc: event.Loc{Obj: 1, Slot: 1}, Thread: 2, Kind: event.Write, Locks: event.Lockset{}}
-	d.Process(a)
-	if race, _ := d.Process(b); race {
+	d.Process(&a)
+	if race, _ := d.Process(&b); race {
 		t.Fatal("different slots are different locations")
 	}
 	if d.LocationCount() != 2 {
@@ -193,7 +193,7 @@ func TestAgainstReference(t *testing.T) {
 				Kind:   kind,
 				Locks:  event.NewLockset(locks...),
 			}
-			if race, _ := d.Process(e); race {
+			if race, _ := d.Process(&e); race {
 				trieRaced[loc] = true
 			}
 			ref := refs[loc]
