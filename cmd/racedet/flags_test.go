@@ -17,6 +17,8 @@ func TestCLIFlagValidation(t *testing.T) {
 	}
 	bin := buildCLI(t)
 	prog := writeProg(t, racyProg)
+	// A log in the removed text format is not a trace.
+	notTrace := writeProg(t, "S 0 -1\nS 1 0\nS 2 0\nA 1 7 0 W Data.f prog.mj:6:18\nA 2 7 0 W Data.f prog.mj:6:18\n")
 
 	cases := []struct {
 		name string
@@ -33,9 +35,12 @@ func TestCLIFlagValidation(t *testing.T) {
 		{"inject bad spec", []string{"-shards", "2", "-inject", "panic:shard=0", prog}, "fault"},
 		{"unknown flag", []string{"-no-such-flag", prog}, "flag"},
 		{"record and replay-trace", []string{"-record", "t.mjtrace", "-replay-trace", "t.mjtrace"}, "-record and -replay-trace are mutually exclusive"},
-		{"replay and replay-trace", []string{"-replay", "t.log", "-replay-trace", "t.mjtrace"}, "-replay and -replay-trace are mutually exclusive"},
+		// -fullrace is a mode of -replay-trace; there is no -replay.
+		{"replay and replay-trace", []string{"-replay", "t.log", "-replay-trace", "t.mjtrace"}, "flag provided but not defined: -replay"},
 		{"fuzz and replay-trace", []string{"-fuzz", "4", "-replay-trace", "t.mjtrace"}, "-fuzz explores live schedules"},
-		{"fullrace and replay-trace", []string{"-fullrace", "-replay-trace", "t.mjtrace"}, "-fullrace works on text event logs"},
+		{"fullrace and replay-trace", []string{"-fullrace", "-replay-trace", notTrace}, "bad magic: not a .mjtrace file"},
+		{"fullrace without replay-trace", []string{"-fullrace", prog}, "-fullrace requires -replay-trace"},
+		{"fullrace and ablate", []string{"-fullrace", "-replay-trace", "t.mjtrace", "-ablate", "Full,NoCache"}, "-fullrace does not depend on the detector configuration"},
 		{"ablate without replay-trace", []string{"-ablate", "Full,NoCache", prog}, "-ablate requires -replay-trace"},
 		{"replay-workers zero", []string{"-replay-workers", "0", "-replay-trace", "t.mjtrace"}, "-replay-workers must be >= 1"},
 		{"replay-workers negative", []string{"-replay-workers", "-2", "-replay-trace", "t.mjtrace"}, "-replay-workers must be >= 1"},

@@ -70,24 +70,25 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Errorf("missing -stats output:\n%s", text)
 	}
 
-	// Record + replay round trip.
-	log := filepath.Join(t.TempDir(), "events.log")
-	out, _ = exec.Command(bin, "-q", "-record", log, prog).CombinedOutput()
-	if _, err := os.Stat(log); err != nil {
-		t.Fatalf("no event log written: %v\n%s", err, out)
+	// Record + replay round trip. The trace format does not depend on
+	// the file's extension.
+	rec := filepath.Join(t.TempDir(), "events.log")
+	out, _ = exec.Command(bin, "-q", "-record", rec, prog).CombinedOutput()
+	if _, err := os.Stat(rec); err != nil {
+		t.Fatalf("no trace written: %v\n%s", err, out)
 	}
-	out, err = exec.Command(bin, "-replay", log).CombinedOutput()
+	out, err = exec.Command(bin, "-replay-trace", rec).CombinedOutput()
 	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
 		t.Fatalf("replay exit = %v, want 1\n%s", err, out)
 	}
 	if !strings.Contains(string(out), "datarace on Data.f") {
 		t.Errorf("replay missing report:\n%s", out)
 	}
-	out, err = exec.Command(bin, "-replay", log, "-fullrace").CombinedOutput()
+	out, err = exec.Command(bin, "-replay-trace", rec, "-fullrace").CombinedOutput()
 	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
 		t.Fatalf("fullrace exit = %v, want 1\n%s", err, out)
 	}
-	if !strings.Contains(string(out), "racing pair") {
+	if !strings.Contains(string(out), "racing pair(s) reconstructed") || !strings.Contains(string(out), "<races with>") {
 		t.Errorf("fullrace missing pairs:\n%s", out)
 	}
 

@@ -1,41 +1,51 @@
 package racedet
 
 import (
+	"bytes"
+	"errors"
 	"strings"
 	"testing"
+
+	"racedet/internal/rt/trace"
 )
 
-// TestPublicPostMortem exercises Options.RecordTo + Replay + FullRace
-// through the public API.
+// TestPublicPostMortem exercises Options.TraceTo + ReplayTraceData +
+// FullRace through the public API.
 func TestPublicPostMortem(t *testing.T) {
-	var log strings.Builder
-	res, err := Detect("racy.mj", racyProgram, Options{RecordTo: &log})
+	var buf bytes.Buffer
+	res, err := Detect("racy.mj", racyProgram, Options{TraceTo: &buf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if log.Len() == 0 {
-		t.Fatal("no event log recorded")
+	if buf.Len() == 0 {
+		t.Fatal("no trace recorded")
 	}
-	replayed, err := Replay(strings.NewReader(log.String()), Options{})
+	replayed, err := ReplayTraceData(buf.Bytes(), Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if replayed.RacyObjects != res.RacyObjects {
 		t.Fatalf("replay reports %d racy objects, original %d", replayed.RacyObjects, res.RacyObjects)
 	}
-	pairs, err := FullRace(strings.NewReader(log.String()), 0)
+	pairs, err := FullRace(bytes.NewReader(buf.Bytes()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pairs) == 0 {
-		t.Fatal("FullRace empty on a racy log")
+		t.Fatal("FullRace empty on a racy trace")
 	}
 	if pairs[0].First == "" || pairs[0].Second == "" {
 		t.Fatalf("pair rendering empty: %+v", pairs[0])
 	}
-	capped, err := FullRace(strings.NewReader(log.String()), 1)
+	capped, err := FullRace(bytes.NewReader(buf.Bytes()), 1)
 	if err != nil || len(capped) != 1 {
 		t.Fatalf("maxPairs not honored: %d, %v", len(capped), err)
+	}
+	// Anything but a finalized trace is a structured format error.
+	_, err = FullRace(strings.NewReader("S 0 -1\nF 0\n"), 0)
+	var fe *trace.FormatError
+	if !errors.As(err, &fe) {
+		t.Fatalf("FullRace on a non-trace: error %T %v, want *trace.FormatError", err, err)
 	}
 }
 

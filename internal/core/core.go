@@ -33,7 +33,6 @@ import (
 	"racedet/internal/rt/event"
 	"racedet/internal/rt/immutable"
 	"racedet/internal/rt/objectrace"
-	"racedet/internal/rt/postmortem"
 	"racedet/internal/rt/trace"
 	"racedet/internal/rt/vclock"
 	"racedet/internal/static/factcache"
@@ -147,17 +146,13 @@ type Config struct {
 	// Out receives the program's print output; nil discards.
 	Out io.Writer
 
-	// RecordTo, when non-nil, also streams the runtime event log to
-	// this writer for post-mortem analysis (§1/§2.6): replay it with
-	// ReplayLog or reconstruct FullRace with postmortem.FullRace.
-	RecordTo io.Writer
-
 	// TraceTo, when non-nil, additionally records the run as a compact
-	// binary event trace (internal/rt/trace): delta-encoded, interned,
-	// segment-indexed, replayable into any detector configuration with
-	// ReplayTrace — record once, analyze many. The writer is finalized
-	// when the run ends, even on a runtime error, so a failed run still
-	// leaves a valid partial trace.
+	// binary event trace (internal/rt/trace) for post-mortem analysis
+	// (§1/§2.6): delta-encoded, interned, segment-indexed, replayable
+	// into any detector configuration with ReplayTrace — record once,
+	// analyze many — and into postmortem.FullRace. The writer is
+	// finalized when the run ends, even on a runtime error, so a failed
+	// run still leaves a valid partial trace.
 	TraceTo io.Writer
 
 	// DetectDeadlocks additionally runs the lock-order-graph
@@ -737,19 +732,12 @@ func (p *Pipeline) RunConfig(cfg Config) (*RunResult, error) {
 	sink := ds.sink
 	det := ds.det
 
-	var recorder *postmortem.Recorder
-	if cfg.RecordTo != nil {
-		recorder = postmortem.NewRecorder(cfg.RecordTo)
-		// The recorder must observe every event, including the ones
-		// the detector's inlined fast path would absorb, so it wraps
-		// the sink in a MultiSink (which has no fast path).
-		sink = event.MultiSink{recorder, sink}
-	}
 	var tracer *trace.Writer
 	if cfg.TraceTo != nil {
 		tracer = trace.NewWriter(cfg.TraceTo)
-		// Same fast-path consideration as the recorder: the binary trace
-		// must capture the complete stream, so it too rides a MultiSink.
+		// The trace must observe every event, including the ones the
+		// detector's inlined fast path would absorb, so it wraps the
+		// sink in a MultiSink (which has no fast path).
 		sink = event.MultiSink{tracer, sink}
 	}
 
@@ -780,11 +768,6 @@ func (p *Pipeline) RunConfig(cfg Config) (*RunResult, error) {
 	start := time.Now()
 	res, err := machine.Run()
 	dur := time.Since(start)
-	if recorder != nil {
-		if ferr := recorder.Flush(); ferr != nil && err == nil {
-			err = ferr
-		}
-	}
 	if tracer != nil {
 		// Capture object descriptions from the final heap — the one
 		// report ingredient replay cannot re-derive from events — then
@@ -1015,36 +998,4 @@ func RunSource(file, src string, cfg Config) (*RunResult, error) {
 		return nil, err
 	}
 	return p.Run()
-}
-
-// ReplayLog performs post-mortem detection: it feeds a recorded event
-// log (produced via Config.RecordTo) into a fresh detector configured
-// by cfg and returns its reports. The detector sees exactly the same
-// event stream as the on-the-fly run, so the reports match (tested in
-// postmortem_test.go).
-func ReplayLog(r io.Reader, cfg Config) (*RunResult, error) {
-	det := detector.New(detector.Options{
-		NoCache:       !cfg.Cache,
-		NoOwnership:   !cfg.Ownership,
-		FieldsMerged:  cfg.FieldsMerged,
-		NoPseudoLocks: !cfg.PseudoLocks,
-		ReportAll:     cfg.ReportAll,
-	})
-	start := time.Now()
-	n, err := postmortem.Replay(r, det)
-	if err != nil {
-		return nil, err
-	}
-	rr := &RunResult{
-		Config:        cfg,
-		Reports:       det.Reports(),
-		RacyObjects:   det.RacyObjects(),
-		DetectorStats: det.Stats(),
-		TrieNodes:     det.TrieNodeCount(),
-		TrieLocations: det.TrieLocationCount(),
-		Duration:      time.Since(start),
-	}
-	rr.Interp.TraceEvents = rr.DetectorStats.Accesses
-	_ = n
-	return rr, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -256,23 +257,39 @@ func TestRandomProgramsDeterminism(t *testing.T) {
 	}
 }
 
-// TestRandomProgramsSoundVsFullRace cross-validates the on-the-fly
-// detector against ground truth: for every random program, each
-// location the detector reports must have at least one racing pair in
-// the FullRace set reconstructed from the recorded event log under the
-// raw §2.4 definition. (The converse need not hold: the ownership
-// model deliberately absorbs initialization hand-offs.)
+// TestRandomProgramsSoundVsFullRace cross-validates the detector
+// against ground truth, record once and analyze many: every random
+// program is recorded once under Full, the FullRace set is
+// reconstructed from that trace under the raw §2.4 definition, and the
+// same trace is replayed through several back ends. For the live run
+// and every replay, each reported location must have at least one
+// racing pair in FullRace, and each replay must report exactly the
+// live run's racy locations. (The converse need not hold: the
+// ownership model deliberately absorbs initialization hand-offs.)
 func TestRandomProgramsSoundVsFullRace(t *testing.T) {
+	packed := Full()
+	packed.PackedTrie = true
+	sharded := Full()
+	sharded.Shards = 4
+	replays := []struct {
+		name string
+		cfg  Config
+	}{
+		{"NoCache", Full().NoCache()},
+		{"PackedTrie", packed},
+		{"Sharded4", sharded},
+	}
+	racyLocs := func(res *RunResult) map[event.Loc]bool {
+		locs := map[event.Loc]bool{}
+		for _, r := range res.Reports {
+			locs[r.Access.Loc] = true
+		}
+		return locs
+	}
 	for seed := int64(0); seed < 20; seed++ {
 		src := generateProgram(seed)
-		var log strings.Builder
-		cfg := Full()
-		cfg.RecordTo = &log
-		res, err := RunSource("rand.mj", src, cfg)
-		if err != nil || res.Err != nil {
-			t.Fatalf("seed %d: %v/%v", seed, err, res.Err)
-		}
-		pairs, err := postmortem.FullRace(strings.NewReader(log.String()), 0)
+		live, tr := recordTrace(t, "rand.mj", src, Full())
+		pairs, err := postmortem.FullRace(tr, 0)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -280,10 +297,28 @@ func TestRandomProgramsSoundVsFullRace(t *testing.T) {
 		for _, p := range pairs {
 			truth[p.First.Loc] = true
 		}
-		for _, r := range res.Reports {
-			if !truth[r.Access.Loc] {
-				t.Fatalf("seed %d: detector reported %v but FullRace has no pair there\n--- program ---\n%s",
-					seed, r.Access.Loc, src)
+		want := racyLocs(live)
+		for loc := range want {
+			if !truth[loc] {
+				t.Fatalf("seed %d: live Full reported %v but FullRace has no pair there\n--- program ---\n%s",
+					seed, loc, src)
+			}
+		}
+		for _, rc := range replays {
+			res, err := ReplayTrace(tr, rc.cfg, 1)
+			if err != nil || res.Err != nil {
+				t.Fatalf("seed %d %s: %v/%v", seed, rc.name, err, res.Err)
+			}
+			got := racyLocs(res)
+			for loc := range got {
+				if !truth[loc] {
+					t.Fatalf("seed %d %s: replay reported %v but FullRace has no pair there\n--- program ---\n%s",
+						seed, rc.name, loc, src)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d %s: replay racy locations %v, live Full %v\n--- program ---\n%s",
+					seed, rc.name, got, want, src)
 			}
 		}
 	}

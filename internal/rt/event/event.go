@@ -289,7 +289,7 @@ func WeakerThan(p, q Access) bool {
 
 // Sink consumes the runtime event stream produced by the interpreter.
 // The full detector stack (ownership → cache → trie), each baseline
-// detector, and the post-mortem logger all implement it.
+// detector, and the trace recorder all implement it.
 type Sink interface {
 	// ThreadStarted fires when a thread begins execution, including
 	// the main thread (parent == NoThread). Conceptually the thread
@@ -316,7 +316,7 @@ type Sink interface {
 }
 
 // MultiSink fans the event stream out to several sinks (e.g. the real
-// detector plus a post-mortem logger).
+// detector plus the trace recorder).
 type MultiSink []Sink
 
 // ThreadStarted implements Sink.

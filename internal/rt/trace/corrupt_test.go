@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -203,5 +204,52 @@ func TestFormatErrorRendering(t *testing.T) {
 	}
 	if got := errf(-1, "boom").Error(); strings.Contains(got, "at byte") {
 		t.Fatalf("FormatError without offset renders %q", got)
+	}
+}
+
+// FuzzTraceReader feeds arbitrary bytes to the trace decoder, the one
+// parser of untrusted recordings. Opening and replaying must never
+// panic, every failure must be a *FormatError, and serial and parallel
+// decoding must agree: the identical event stream, or both fail.
+func FuzzTraceReader(f *testing.F) {
+	for _, size := range []struct{ segTarget, accesses int }{{0, 0}, {0, 50}, {64, 300}} {
+		data, _ := record(f, size.segTarget, size.accesses)
+		f.Add(data)
+	}
+	f.Add(craft(1, 1, 1))
+	f.Add(craft(9, 1, 1))
+	f.Add(craft(1, 9, 1))
+	f.Add(craft(1, 1, 9))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := NewReader(data)
+		if err != nil {
+			requireFormatError(t, "NewReader", err)
+			return
+		}
+		var streams [2]string
+		var errs [2]error
+		for i, parallel := range []int{1, 4} {
+			var c collector
+			_, errs[i] = r.Replay(&c, parallel)
+			if errs[i] != nil {
+				requireFormatError(t, fmt.Sprintf("Replay(parallel=%d)", parallel), errs[i])
+			}
+			streams[i] = strings.Join(c.lines, "\n")
+		}
+		if (errs[0] == nil) != (errs[1] == nil) {
+			t.Fatalf("serial replay error %v, parallel replay error %v", errs[0], errs[1])
+		}
+		if errs[0] == nil && streams[0] != streams[1] {
+			t.Fatalf("serial and parallel replay delivered different streams:\n--- serial ---\n%s\n--- parallel ---\n%s",
+				streams[0], streams[1])
+		}
+	})
+}
+
+func requireFormatError(t *testing.T, op string, err error) {
+	t.Helper()
+	var fe *FormatError
+	if !errors.As(err, &fe) {
+		t.Fatalf("%s: error is %T, want *FormatError: %v", op, err, err)
 	}
 }

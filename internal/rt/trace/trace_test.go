@@ -99,7 +99,7 @@ func drive(s event.Sink, accesses int) int {
 
 // record drives the synthetic stream through a Writer and returns the
 // finalized trace bytes.
-func record(t *testing.T, segTarget, accesses int) ([]byte, int) {
+func record(t testing.TB, segTarget, accesses int) ([]byte, int) {
 	t.Helper()
 	var buf bytes.Buffer
 	w := NewWriterSize(&buf, segTarget)

@@ -125,16 +125,13 @@ type Options struct {
 	// Stdout receives the program's print output (nil = captured
 	// only in Result.Output).
 	Stdout io.Writer
-	// RecordTo, when non-nil, streams the runtime event log to this
-	// writer for post-mortem analysis (replay with Replay, or
-	// reconstruct all racing pairs with FullRace). See §1/§2.6 of the
-	// paper.
-	RecordTo io.Writer
-	// TraceTo, when non-nil, additionally records the run as a compact
-	// binary event trace (.mjtrace): delta-encoded, lockset-interned,
-	// segment-indexed. Replay it into any detector configuration with
-	// ReplayTrace — record once, analyze many. The trace is finalized
-	// even when the run fails, so partial traces stay valid.
+	// TraceTo, when non-nil, records the run as a compact binary event
+	// trace (.mjtrace) for post-mortem analysis (§1/§2.6 of the paper):
+	// delta-encoded, lockset-interned, segment-indexed. Replay it into
+	// any detector configuration with ReplayTrace — record once,
+	// analyze many — or reconstruct all racing pairs with FullRace. The
+	// trace is finalized even when the run fails, so partial traces
+	// stay valid.
 	TraceTo io.Writer
 
 	// RecordSchedule captures the scheduler's decision sequence in
@@ -225,7 +222,6 @@ func (o Options) config() core.Config {
 	cfg.Quantum = o.Quantum
 	cfg.MaxSteps = o.MaxSteps
 	cfg.Out = o.Stdout
-	cfg.RecordTo = o.RecordTo
 	cfg.TraceTo = o.TraceTo
 	cfg.RecordSchedule = o.RecordSchedule
 	cfg.Timeout = o.Timeout
@@ -516,18 +512,6 @@ func (c *Compiled) RunSeed(seed int64) (*Result, error) {
 	return c.Run()
 }
 
-// Replay performs post-mortem detection on an event log previously
-// recorded via Options.RecordTo: the detector configured by opts sees
-// exactly the event stream of the original run, so its reports match
-// the on-the-fly ones (§1).
-func Replay(r io.Reader, opts Options) (*Result, error) {
-	res, err := core.ReplayLog(r, opts.config())
-	if err != nil {
-		return nil, err
-	}
-	return convert(res), nil
-}
-
 // ReplayTrace performs offline detection on a binary event trace
 // previously recorded via Options.TraceTo: the detector stack
 // configured by opts (serial or sharded, any ablation) sees exactly
@@ -574,12 +558,22 @@ type RacePair struct {
 	Second string
 }
 
-// FullRace reconstructs every racing access pair from a recorded event
-// log — the O(N²) analysis the on-the-fly detector deliberately
-// summarizes to one report per memory location (§2.5, §2.6). maxPairs
-// bounds the output (0 = unlimited).
+// FullRace reconstructs every racing access pair from a binary event
+// trace recorded via Options.TraceTo — the O(N²) analysis the
+// on-the-fly detector deliberately summarizes to one report per
+// memory location (§2.5, §2.6). maxPairs bounds the output
+// (0 = unlimited). A corrupt or truncated trace fails with a
+// *trace.FormatError.
 func FullRace(r io.Reader, maxPairs int) ([]RacePair, error) {
-	pairs, err := postmortem.FullRace(r, maxPairs)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	tr, err := trace.NewReader(data)
+	if err != nil {
+		return nil, err
+	}
+	pairs, err := postmortem.FullRace(tr, maxPairs)
 	if err != nil {
 		return nil, err
 	}
@@ -661,7 +655,7 @@ func raceFromReport(r detector.Report) Race {
 type FuzzOptions struct {
 	// Options configures each individual run (detector, pipeline
 	// ablations, quantum, timeout, livelock window, memory bounds).
-	// Seed, Stdout, RecordTo, TraceTo, and the schedule fields are
+	// Seed, Stdout, TraceTo, and the schedule fields are
 	// ignored: the harness owns the seed sweep and records every
 	// schedule itself, and parallel runs cannot share one trace writer.
 	Options Options
@@ -752,7 +746,6 @@ func (r *FuzzResult) filter(stable bool) []FuzzFinding {
 func Fuzz(file, src string, opts FuzzOptions) (*FuzzResult, error) {
 	base := opts.Options
 	base.Stdout = nil
-	base.RecordTo = nil
 	base.TraceTo = nil
 	base.ReplaySchedule = nil
 	sum, err := harness.ExploreSource(file, src, harness.Options{
