@@ -121,8 +121,9 @@ func BenchmarkSharded(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Trace replay: the detector's per-access path with no interpreter and
 // no compile. Each paper benchmark is recorded once under Full; every
-// iteration replays the trace (sequential decode) through a fresh
-// detector. ns/access is wall time per recorded access event.
+// iteration replays the trace through a fresh detector, with a
+// sequential decoder except in the ParallelDecode cases. ns/access is
+// wall time per recorded access event.
 
 func BenchmarkReplay(b *testing.B) {
 	for _, name := range []string{"mtrt", "tsp", "sor2", "elevator", "hedc"} {
@@ -141,19 +142,33 @@ func BenchmarkReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		sharded := func(n int) core.Config {
+			cfg := core.Full()
+			cfg.Shards = n
+			cfg.BatchSize = 64
+			return cfg
+		}
+		// The ParallelDecode cases decode segments on GOMAXPROCS workers
+		// while the detector consumes them. Shards1Batch64 against
+		// Shards4Batch64 separates the gain of pipelining the front end
+		// against the trie from that of spreading trie work over shards.
 		for _, c := range []struct {
-			name string
-			cfg  core.Config
+			name     string
+			cfg      core.Config
+			parallel int
 		}{
-			{"Full", core.Full()},
-			{"NoCache", core.Full().NoCache()},
+			{"Full", core.Full(), 1},
+			{"NoCache", core.Full().NoCache(), 1},
+			{"ParallelDecode/Full", core.Full(), 0},
+			{"ParallelDecode/Shards1Batch64", sharded(1), 0},
+			{"ParallelDecode/Shards4Batch64", sharded(4), 0},
 		} {
-			cfg := c.cfg
+			cfg, parallel := c.cfg, c.parallel
 			b.Run(name+"/"+c.name, func(b *testing.B) {
 				b.ReportAllocs()
 				var accesses uint64
 				for i := 0; i < b.N; i++ {
-					rr, err := core.ReplayTrace(rd, cfg, 1)
+					rr, err := core.ReplayTrace(rd, cfg, parallel)
 					if err != nil || rr.Err != nil {
 						b.Fatalf("%v/%v", err, rr.Err)
 					}

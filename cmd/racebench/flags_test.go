@@ -26,8 +26,9 @@ func TestBenchFlagValidation(t *testing.T) {
 	}{
 		{"shards zero", []string{"-shards", "0"}, "-shards must be >= 1"},
 		{"batch negative", []string{"-batch", "-64"}, "-batch must be >= 1"},
-		{"journal zero", []string{"-journal", "0"}, "-journal must be >= 1"},
-		{"retry budget negative", []string{"-retry-budget", "-2"}, "-retry-budget must be >= 0"},
+		// Shard supervision was removed: its flags are unknown now.
+		{"journal zero", []string{"-journal", "0"}, "flag provided but not defined: -journal"},
+		{"retry budget negative", []string{"-retry-budget", "-2"}, "flag provided but not defined: -retry-budget"},
 		{"runs zero", []string{"-runs", "0"}, "-runs must be >= 1"},
 		{"benchreps zero", []string{"-benchreps", "0"}, "-benchreps must be >= 1"},
 		{"unknown flag", []string{"-no-such-flag"}, "flag"},

@@ -3,6 +3,7 @@ package main
 import (
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -29,8 +30,9 @@ func TestCLIFlagValidation(t *testing.T) {
 		{"shards negative", []string{"-shards", "-4", prog}, "-shards must be >= 1"},
 		{"batch zero", []string{"-batch", "0", prog}, "-batch must be >= 1"},
 		{"batch negative", []string{"-shards", "2", "-batch", "-8", prog}, "-batch must be >= 1"},
-		{"journal negative", []string{"-shards", "2", "-journal", "-1", prog}, "-journal must be >= 0"},
-		{"retry budget negative", []string{"-shards", "2", "-retry-budget", "-1", prog}, "-retry-budget must be >= 0"},
+		// Shard supervision was removed: its flags are unknown now.
+		{"journal negative", []string{"-shards", "2", "-journal", "-1", prog}, "flag provided but not defined: -journal"},
+		{"retry budget negative", []string{"-shards", "2", "-retry-budget", "-1", prog}, "flag provided but not defined: -retry-budget"},
 		{"inject without shards", []string{"-inject", "panic:shard=0,event=1", prog}, "-inject targets the sharded back end"},
 		{"inject bad spec", []string{"-shards", "2", "-inject", "panic:shard=0", prog}, "fault"},
 		{"unknown flag", []string{"-no-such-flag", prog}, "flag"},
@@ -82,36 +84,32 @@ func TestCLIFlagValidation(t *testing.T) {
 }
 
 // TestCLIInjectSmoke runs the fault-injection path end to end: a
-// worker panic is injected mid-stream, the supervisor recovers, and
-// the race is still reported exactly as without the fault.
+// worker panic injected on the first routed access of every shard
+// fails the run with a usage-class exit (3) and names the dead shard,
+// both live and when replaying a recorded trace through -shards.
 func TestCLIInjectSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary")
 	}
 	bin := buildCLI(t)
 	prog := writeProg(t, racyProg)
-
-	// Recovered run: same verdict and report as an undisturbed one.
-	out, err := exec.Command(bin, "-q", "-stats", "-shards", "2",
-		"-inject", "panic:shard=*,event=1", prog).CombinedOutput()
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != exitRaces {
-		t.Fatalf("recovered run exit = %v, want %d\n%s", err, exitRaces, out)
-	}
-	text := string(out)
-	if !strings.Contains(text, "datarace on Data.f") {
-		t.Errorf("recovered run lost the race report:\n%s", text)
-	}
-	if !strings.Contains(text, "recovery:") || !strings.Contains(text, "restarts=1") {
-		t.Errorf("-stats missing the recovery line:\n%s", text)
+	tracePath := filepath.Join(t.TempDir(), "run.mjtrace")
+	if out, err := exec.Command(bin, "-q", "-record", tracePath, prog).CombinedOutput(); err != nil {
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != exitRaces {
+			t.Fatalf("recording run: %v\n%s", err, out)
+		}
 	}
 
-	// Budget-zero run: the shard degrades but the analysis completes.
-	out, err = exec.Command(bin, "-q", "-stats", "-shards", "2", "-retry-budget", "0",
-		"-inject", "panic:shard=*,event=1", prog).CombinedOutput()
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != exitRaces {
-		t.Fatalf("degraded run exit = %v, want %d (analysis must survive)\n%s", err, exitRaces, out)
-	}
-	if !strings.Contains(string(out), "degradedShards=1") {
-		t.Errorf("degraded run missing the degradation counter:\n%s", out)
+	for _, args := range [][]string{
+		{"-q", "-shards", "2", "-inject", "panic:shard=*,event=1", prog},
+		{"-replay-trace", tracePath, "-shards", "4", "-inject", "panic:shard=*,event=1"},
+	} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != exitInternal {
+			t.Fatalf("%v: exit = %v, want %d\n%s", args, err, exitInternal, out)
+		}
+		if !regexp.MustCompile(`detector shard \d+: panic`).Match(out) {
+			t.Errorf("%v: stderr does not name the dead shard:\n%s", args, out)
+		}
 	}
 }

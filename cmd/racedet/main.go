@@ -81,28 +81,26 @@ func main() {
 		deadlocks       = flag.Bool("deadlock", false, "also run the lock-order potential-deadlock analysis")
 		immut           = flag.Bool("immutability", false, "also classify shared fields as observed-immutable or mutable")
 
-		fuzzN       = flag.Int("fuzz", 0, "explore N scheduler seeds and classify races as stable or schedule-dependent")
-		workers     = flag.Int("workers", 0, "parallel workers for -fuzz (0 = one per CPU)")
-		timeout     = flag.Duration("timeout", 0, "per-run wall-clock watchdog (0 = none; -fuzz defaults to 30s)")
-		livelock    = flag.Int("livelock", 0, "terminate after N scheduler slices without progress (0 = off; -fuzz defaults to 100000)")
-		schedOut    = flag.String("schedule-out", "", "write the run's schedule trace to this file (mjsched text)")
-		schedIn     = flag.String("replay-schedule", "", "replay a recorded schedule trace (deterministic reproduction)")
-		traceDir    = flag.String("trace-dir", "", "with -fuzz: write each finding's witness schedule trace into this directory")
-		maxTrie     = flag.Int("max-trie-nodes", 0, "bound trie memory: collapse per-location history over this many nodes (0 = unbounded; may over-report)")
-		maxCacheT   = flag.Int("max-cache-threads", 0, "bound cache memory: keep at most N per-thread caches, evicting LRU (0 = unbounded)")
-		maxOwner    = flag.Int("max-owner-locations", 0, "bound ownership memory: locations past N are born shared (0 = unbounded; may over-report)")
-		shards      = flag.Int("shards", 0, "run detection on N location-sharded workers (0/1 = serial; reports are identical)")
-		batchSize   = flag.Int("batch", 0, "buffer up to N access events per thread before calling the detector (0 = unbatched)")
-		journalCap  = flag.Int("journal", 4096, "with -shards: per-shard event journal capacity for crash recovery (0 = no fault tolerance)")
-		retryBudget = flag.Int("retry-budget", 3, "with -shards and -journal: worker restart attempts before a shard degrades to the Eraser path")
-		inject      = flag.String("inject", "", `fault-injection spec for robustness testing, e.g. "panic:shard=1,event=100" (see docs/robustness.md)`)
-		factCache   = flag.String("factcache", "", "persist static-analysis results under this directory and reuse them for unchanged functions")
-		ptsWorkers  = flag.Int("pts-workers", 0, "parallel workers for the points-to solver (0 = serial; the result is identical)")
-		explain     = flag.Bool("explain-static", false, "print the per-access-site keep/kill report of the static phase and exit")
-		staticRep   = flag.Bool("static-report", false, "print the severity-ranked lock-discipline race report of the static phase and exit")
-		staticOnly  = flag.Bool("static-only", false, "static-only detection: print the lock-discipline report, exit 1 when statically unguarded pairs exist, 0 otherwise")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
+		fuzzN      = flag.Int("fuzz", 0, "explore N scheduler seeds and classify races as stable or schedule-dependent")
+		workers    = flag.Int("workers", 0, "parallel workers for -fuzz (0 = one per CPU)")
+		timeout    = flag.Duration("timeout", 0, "per-run wall-clock watchdog (0 = none; -fuzz defaults to 30s)")
+		livelock   = flag.Int("livelock", 0, "terminate after N scheduler slices without progress (0 = off; -fuzz defaults to 100000)")
+		schedOut   = flag.String("schedule-out", "", "write the run's schedule trace to this file (mjsched text)")
+		schedIn    = flag.String("replay-schedule", "", "replay a recorded schedule trace (deterministic reproduction)")
+		traceDir   = flag.String("trace-dir", "", "with -fuzz: write each finding's witness schedule trace into this directory")
+		maxTrie    = flag.Int("max-trie-nodes", 0, "bound trie memory: collapse per-location history over this many nodes (0 = unbounded; may over-report)")
+		maxCacheT  = flag.Int("max-cache-threads", 0, "bound cache memory: keep at most N per-thread caches, evicting LRU (0 = unbounded)")
+		maxOwner   = flag.Int("max-owner-locations", 0, "bound ownership memory: locations past N are born shared (0 = unbounded; may over-report)")
+		shards     = flag.Int("shards", 0, "run detection on N location-sharded workers (0/1 = serial; reports are identical)")
+		batchSize  = flag.Int("batch", 0, "buffer up to N access events per thread before calling the detector (0 = unbatched)")
+		inject     = flag.String("inject", "", `fault-injection spec for robustness testing, e.g. "panic:shard=1,event=100" (see docs/robustness.md)`)
+		factCache  = flag.String("factcache", "", "persist static-analysis results under this directory and reuse them for unchanged functions")
+		ptsWorkers = flag.Int("pts-workers", 0, "parallel workers for the points-to solver (0 = serial; the result is identical)")
+		explain    = flag.Bool("explain-static", false, "print the per-access-site keep/kill report of the static phase and exit")
+		staticRep  = flag.Bool("static-report", false, "print the severity-ranked lock-discipline race report of the static phase and exit")
+		staticOnly = flag.Bool("static-only", false, "static-only detection: print the lock-discipline report, exit 1 when statically unguarded pairs exist, 0 otherwise")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
 	// A bad flag is a usage error (exit 3), not an execution failure
 	// (exit 2, the flag package's ExitOnError default).
@@ -129,14 +127,6 @@ func main() {
 		case "batch":
 			if *batchSize <= 0 {
 				flagErr = fmt.Errorf("-batch must be >= 1 (got %d); omit the flag for unbatched delivery", *batchSize)
-			}
-		case "journal":
-			if *journalCap < 0 {
-				flagErr = fmt.Errorf("-journal must be >= 0 (got %d); 0 disables fault tolerance", *journalCap)
-			}
-		case "retry-budget":
-			if *retryBudget < 0 {
-				flagErr = fmt.Errorf("-retry-budget must be >= 0 (got %d)", *retryBudget)
 			}
 		case "replay-workers":
 			if *replayWorkers <= 0 {
@@ -214,8 +204,6 @@ func main() {
 		MaxOwnerLocations:      *maxOwner,
 		Shards:                 *shards,
 		BatchSize:              *batchSize,
-		JournalCap:             *journalCap,
-		RetryBudget:            *retryBudget,
 		FaultInjection:         *inject,
 	}
 	switch *detName {
@@ -369,11 +357,6 @@ func main() {
 		if s.TrieCollapses > 0 || s.CacheThreadEvictions > 0 || s.OwnerOverflows > 0 {
 			fmt.Printf("degraded: trieCollapses=%d cacheThreadEvictions=%d ownerOverflows=%d (bounded memory; may over-report)\n",
 				s.TrieCollapses, s.CacheThreadEvictions, s.OwnerOverflows)
-		}
-		if s.WorkerRestarts > 0 || s.DegradedShards > 0 || s.DroppedEvents > 0 {
-			fmt.Printf("recovery: restarts=%d replayed=%d checkpoints=%d degradedShards=%d degradedEvents=%d droppedEvents=%d queueHighWater=%d\n",
-				s.WorkerRestarts, s.EventsReplayed, s.Checkpoints, s.DegradedShards,
-				s.DegradedEvents, s.DroppedEvents, s.QueueHighWater)
 		}
 	}
 	n := res.RacyObjects

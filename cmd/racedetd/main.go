@@ -1,11 +1,11 @@
 // Command racedetd is the detection-as-a-service daemon: a persistent
 // process that accepts compile+analyze jobs from many concurrent
-// clients over a local HTTP API and runs each in an isolated,
-// supervised detector session (see internal/service). A job may also
-// upload a recorded binary trace (racedet -record prog.mjtrace)
-// instead of source; the session then replays the trace through its
-// detector without compiling or running anything — the daemon side of
-// the record-once/analyze-many workflow.
+// clients over a local HTTP API and runs each in an isolated serial
+// detector session behind a panic barrier (see internal/service). A
+// job may also upload a recorded binary trace (racedet -record
+// prog.mjtrace) instead of source; the session then replays the trace
+// through its detector without compiling or running anything — the
+// daemon side of the record-once/analyze-many workflow.
 //
 //	racedetd -listen 127.0.0.1:7421 -factcache /var/cache/racedet
 //
@@ -59,9 +59,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		factDir  = fs.String("factcache", "", "shared fact cache directory for warm compiles across sessions")
 		inject   = fs.String("inject", "", "deterministic fault plan (testing), e.g. 'session-panic:job=2,times=1'")
 		drainTO  = fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight jobs on SIGTERM before counting them aborted")
-		shards   = fs.Int("shards", 0, "per-session detector shards (0 = default 2, negative = serial back end)")
-		batch    = fs.Int("batch", 0, "per-session event batch size (0 = default)")
-		journal  = fs.Int("journal", 0, "per-shard journal capacity for crash replay (0 = default, negative = off)")
 		maxTrace = fs.Int("max-trace-bytes", 0, "max uploaded trace size for replay jobs (0 = default 8MiB, negative = request-body limit only)")
 		stateDir = fs.String("state-dir", "", "durable state directory: admitted jobs are journaled to a WAL here and recovered after a crash")
 		walSync  = fs.String("wal-sync", "always", "WAL durability: 'always' fsyncs every append, 'none' trusts the page cache")
@@ -92,6 +89,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "racedetd: -inject: %v\n", err)
 			return exitUsage
 		}
+		if p.HasShardFaults() {
+			// Sessions run the serial detector, so a shard fault could
+			// never fire: reject it instead of silently ignoring it.
+			fmt.Fprintf(stderr, "racedetd: -inject: shard faults never fire: sessions run the serial detector\n")
+			return exitUsage
+		}
 		plan = p
 	}
 
@@ -107,17 +110,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		RetryBudget:    *retries,
 		RetryBackoff:   *backoff,
 		FactCacheDir:   *factDir,
-		Shards:         *shards,
-		BatchSize:      *batch,
-		JournalCap:     *journal,
 		MaxTraceBytes:  *maxTrace,
 		StateDir:       *stateDir,
 		WalSync:        *walSync,
-		// The shard-level half of the plan reaches each session's
-		// sharded back end by spec, re-parsed per run (fresh counters).
-		DetectorFaultSpec: *inject,
-		Faults:            plan,
-		Log:               logw,
+		Faults:         plan,
+		Log:            logw,
 	})
 
 	// Crash recovery runs to completion before the daemon accepts or

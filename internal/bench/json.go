@@ -51,16 +51,10 @@ type JSONResult struct {
 	TracesEmitted    int   `json:"traces_emitted,omitempty"`
 	ElimInterproc    int   `json:"elim_interproc,omitempty"`
 
-	// Fault-tolerance counters of the supervised sharded configuration
-	// (last run of the measurement; omitted when zero). Checkpoints and
-	// JournaledEvents are the insurance overhead; the rest should stay
-	// zero in an undisturbed benchmark run.
-	Checkpoints     uint64 `json:"checkpoints,omitempty"`
-	JournaledEvents uint64 `json:"journaled_events,omitempty"`
-	WorkerRestarts  uint64 `json:"worker_restarts,omitempty"`
-	DegradedShards  int    `json:"degraded_shards,omitempty"`
-	DroppedEvents   uint64 `json:"dropped_events,omitempty"`
-	QueueHighWater  int    `json:"queue_high_water,omitempty"`
+	// QueueHighWater is the deepest shard queue of the sharded
+	// configurations, in batches (last run of the measurement; omitted
+	// when zero).
+	QueueHighWater int `json:"queue_high_water,omitempty"`
 
 	// Filter axis (last run of the measurement): every observed event
 	// is shipped to the trie, a cache hit, or an owner skip.
@@ -91,12 +85,10 @@ func ReadJSON(r io.Reader) (*JSONReport, error) {
 
 // JSONOptions parameterizes the parallel variants of the measured
 // matrix. The zero value selects the defaults (4 shards, batch 64,
-// journal 4096, retry budget 3, one measurement rep).
+// one measurement rep).
 type JSONOptions struct {
-	Shards      int
-	BatchSize   int
-	JournalCap  int
-	RetryBudget int
+	Shards    int
+	BatchSize int
 	// BenchReps is how many times each (benchmark, config) cell is
 	// measured. The reps are interleaved — every cell is measured once
 	// before any cell is measured twice — so slow phases of a noisy
@@ -112,12 +104,6 @@ func (o JSONOptions) withDefaults() JSONOptions {
 	if o.BatchSize <= 0 {
 		o.BatchSize = 64
 	}
-	if o.JournalCap <= 0 {
-		o.JournalCap = 4096
-	}
-	if o.RetryBudget < 0 {
-		o.RetryBudget = 3
-	}
 	if o.BenchReps <= 0 {
 		o.BenchReps = 1
 	}
@@ -126,8 +112,7 @@ func (o JSONOptions) withDefaults() JSONOptions {
 
 // jsonConfigs is the measured matrix: the paper's Table 2 ablations
 // plus the parallel back-end variants introduced with the sharded
-// detector and the supervised (fault-tolerant) configuration, which
-// quantifies the journaling/checkpointing insurance premium.
+// detector.
 func jsonConfigs(o JSONOptions) []struct {
 	Name string
 	Cfg  core.Config
@@ -141,9 +126,6 @@ func jsonConfigs(o JSONOptions) []struct {
 	both := core.Full()
 	both.Shards = o.Shards
 	both.BatchSize = o.BatchSize
-	supervised := both
-	supervised.JournalCap = o.JournalCap
-	supervised.RetryBudget = o.RetryBudget
 	add := func(name string, cfg core.Config) struct {
 		Name string
 		Cfg  core.Config
@@ -157,7 +139,6 @@ func jsonConfigs(o JSONOptions) []struct {
 		add(fmt.Sprintf("FullSharded%d", o.Shards), sharded),
 		add(fmt.Sprintf("FullBatched%d", o.BatchSize), batched),
 		add(fmt.Sprintf("FullSharded%dBatched%d", o.Shards, o.BatchSize), both),
-		add("FullSupervised", supervised),
 	)
 }
 
@@ -328,11 +309,6 @@ func WriteJSON(w io.Writer, opts JSONOptions) error {
 			TracesEliminated: cl.pipe.InstrStats.Eliminated,
 			TracesEmitted:    cl.pipe.InstrStats.Inserted - cl.pipe.InstrStats.Eliminated,
 			ElimInterproc:    cl.pipe.StaticStats.ElimInterproc,
-			Checkpoints:      cl.rec.Checkpoints,
-			JournaledEvents:  cl.rec.Journaled,
-			WorkerRestarts:   cl.rec.Restarts,
-			DegradedShards:   cl.rec.DegradedShards,
-			DroppedEvents:    cl.rec.DroppedEvents,
 			QueueHighWater:   cl.rec.QueueHighWater,
 			EventsPerSec:     eventsPerSec(cl.events, median(cl.ns)),
 			EventsObserved:   cl.det.Accesses,

@@ -181,25 +181,13 @@ type Config struct {
 	// unchanged; see interp.Options.BatchSize.
 	BatchSize int
 
-	// JournalCap enables fault tolerance in the sharded back end: each
-	// shard journals routed messages and checkpoints its state, so a
-	// panicked worker restarts and replays instead of failing the run
-	// (0 = off). Meaningful only with Shards >= 1.
-	JournalCap int
-	// RetryBudget is the number of per-shard restart attempts before a
-	// supervised shard degrades to the Eraser lockset path (0 degrades
-	// on the first panic).
-	RetryBudget int
 	// ShardQueueDepth bounds each router→worker queue in messages
 	// (0 = detector.DefaultQueueDepth).
 	ShardQueueDepth int
-	// DropOnBackpressure drops access batches with accounting instead
-	// of blocking when a shard queue is full (trades exactness for
-	// router latency; see detector.Options.DropOnBackpressure).
-	DropOnBackpressure bool
 	// Faults installs fault-injection hooks on the sharded back end
 	// (tests); FaultSpec is the textual alternative (CLI -inject),
 	// parsed by internal/faultinject. Faults wins when both are set.
+	// A worker panic fails the run: it surfaces as RunResult.Err.
 	Faults    detector.FaultInjector
 	FaultSpec string
 }
@@ -827,10 +815,7 @@ func newDetectorSinks(cfg Config) (*detectorSinks, error) {
 			MaxOwnerLocations: cfg.MaxOwnerLocations,
 		}
 		if cfg.Shards >= 1 {
-			dopts.JournalCap = cfg.JournalCap
-			dopts.RetryBudget = cfg.RetryBudget
 			dopts.QueueDepth = cfg.ShardQueueDepth
-			dopts.DropOnBackpressure = cfg.DropOnBackpressure
 			dopts.Faults = cfg.Faults
 			if cfg.FaultSpec != "" && dopts.Faults == nil {
 				plan, err := faultinject.Parse(cfg.FaultSpec)

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"regexp"
 	"testing"
+	"time"
 
 	"racedet/internal/lang/token"
 	"racedet/internal/rt/event"
@@ -152,5 +154,37 @@ func TestPostMortemPositionFidelity(t *testing.T) {
 		if !sides[site{r.Access.Loc, r.Access.Thread, r.Access.Pos}] {
 			t.Errorf("live report %v has no FullRace pair side at %s", r.Access.Loc, r.Access.Pos)
 		}
+	}
+}
+
+// TestReplayShardPanicSurfacesErr: a worker panic while a trace replays
+// into the sharded back end must end the replay, not hang it, and the
+// result's Err must name the dead shard.
+func TestReplayShardPanicSurfacesErr(t *testing.T) {
+	_, tr := recordTrace(t, "racy.mj", racySrc, Full())
+	cfg := Full()
+	cfg.Shards = 4
+	cfg.FaultSpec = "panic:shard=*,event=1"
+
+	type outcome struct {
+		rr  *RunResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		rr, err := ReplayTrace(tr, cfg, 2)
+		done <- outcome{rr, err}
+	}()
+	var got outcome
+	select {
+	case got = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("replay with a dead shard did not return")
+	}
+	if got.err != nil {
+		t.Fatalf("ReplayTrace: %v", got.err)
+	}
+	if got.rr.Err == nil || !regexp.MustCompile(`detector shard \d+: panic`).MatchString(got.rr.Err.Error()) {
+		t.Fatalf("result Err = %v, want one naming the dead shard", got.rr.Err)
 	}
 }

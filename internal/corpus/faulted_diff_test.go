@@ -1,148 +1,76 @@
 package corpus
 
 import (
-	"fmt"
+	"net/http/httptest"
+	"reflect"
 	"testing"
+	"time"
 
+	"racedet"
 	"racedet/internal/bench"
-	"racedet/internal/core"
 	"racedet/internal/faultinject"
+	"racedet/internal/service"
 )
 
-// faultedConfig is the supervised sharded configuration the recovery
-// differential tests run under: a small journal capacity forces
-// frequent checkpoints so replay exercises both the restore path and
-// the journal-suffix path, and batching keeps the router realistic.
-func faultedConfig(seed int64, faults *faultinject.Plan) core.Config {
-	cfg := core.Full().WithSeed(seed)
-	cfg.Shards = 4
-	cfg.BatchSize = 16
-	cfg.JournalCap = 64
-	cfg.RetryBudget = 3
-	cfg.Faults = faults
-	return cfg
-}
-
-// panicPlan builds a wildcard-shard panic at a seed-chosen event index
-// in [1, ceil(trieEvents/shards)]. Workers only ever see the accesses
-// that survive the router's cache and ownership filters — exactly the
-// serial trie's event stream — so the pigeonhole runs over serial
-// Trie.Events: with four shards splitting that many events, the
-// busiest shard processes at least the chosen index, and the panic is
-// guaranteed to fire on every seed while the seed sweep still covers
-// arbitrary points of the stream. expectFire is false only when the
-// serial run forwarded nothing to the trie (then no worker event can
-// ever fire and the callers skip the firing assertions).
-func panicPlan(t *testing.T, seed int64, trieEvents uint64) (plan *faultinject.Plan, expectFire bool) {
-	t.Helper()
-	limit := (trieEvents + 3) / 4
-	if limit < 1 {
-		limit = 1
-	}
-	ev := 1 + (uint64(seed)*7919)%limit
-	plan, err := faultinject.Parse(fmt.Sprintf("panic:shard=*,event=%d", ev))
-	if err != nil {
-		t.Fatalf("panic plan: %v", err)
-	}
-	return plan, trieEvents > 0
-}
-
-// TestCorpusFaultInjectedMatchesSerial is the recovery differential
-// test: on every corpus program, under ten seeds, a worker panic at a
-// seed-chosen event index must be invisible in the output — the
-// supervisor restarts the worker, replays the journal suffix, and the
-// merged report stays byte-identical to the serial back end's.
-func TestCorpusFaultInjectedMatchesSerial(t *testing.T) {
-	for _, e := range loadCorpus(t) {
-		e := e
-		t.Run(e.name, func(t *testing.T) {
-			t.Parallel()
-			for seed := int64(0); seed < 10; seed++ {
-				serial, err := core.RunSource(e.name+".mj", e.src, core.Full().WithSeed(seed))
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				if serial.Err != nil {
-					t.Fatalf("seed %d: runtime: %v", seed, serial.Err)
-				}
-				want := renderReports(serial)
-
-				plan, expectFire := panicPlan(t, seed, serial.DetectorStats.Trie.Events)
-				res, err := core.RunSource(e.name+".mj", e.src, faultedConfig(seed, plan))
-				if err != nil {
-					t.Fatalf("seed %d faulted: %v", seed, err)
-				}
-				if res.Err != nil {
-					t.Fatalf("seed %d faulted: runtime: %v", seed, res.Err)
-				}
-				if got := renderReports(res); got != want {
-					t.Errorf("seed %d: faulted run diverges from serial:\n--- serial ---\n%s\n--- faulted ---\n%s",
-						seed, want, got)
-				}
-				if !expectFire {
-					continue
-				}
-				if plan.Fired() == 0 {
-					t.Fatalf("seed %d: injected panic never fired (event index past the busiest shard)", seed)
-				}
-				rec := res.DetectorStats.Recovery
-				if rec.Restarts == 0 {
-					t.Errorf("seed %d: panic fired but no worker restart recorded", seed)
-				}
-				if rec.Replayed == 0 {
-					t.Errorf("seed %d: worker restarted without replaying the journal", seed)
-				}
-				if rec.DegradedShards != 0 {
-					t.Errorf("seed %d: shard degraded with retry budget 3: %+v", seed, rec)
-				}
-			}
-		})
-	}
-}
-
-// TestBenchmarksFaultInjectedMatchesSerial extends the recovery
-// differential check to the five paper benchmarks, whose much longer
-// event streams land panics deep into checkpointed history.
-func TestBenchmarksFaultInjectedMatchesSerial(t *testing.T) {
+// faultedSeeds is the seed sweep of the recovery differential tests.
+func faultedSeeds() []int64 {
 	seeds := []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
+	return seeds
+}
+
+// analyzeFaulted posts one job to a fresh in-process daemon whose
+// session runner panics on the job's first `times` attempts, and
+// returns the result with the daemon's counters after the job.
+func analyzeFaulted(t *testing.T, retryBudget int, times string, req service.JobRequest) (*service.JobResult, service.Snapshot) {
+	t.Helper()
+	plan, err := faultinject.Parse("session-panic:job=1,times=" + times)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := service.New(service.Options{
+		RetryBudget:  retryBudget,
+		RetryBackoff: time.Millisecond,
+		Faults:       plan,
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	res, err := (&service.Client{Base: ts.URL}).Analyze(req)
+	if err != nil {
+		t.Fatalf("seed %d: transport error: %v", req.Seed, err)
+	}
+	return res, srv.Metrics()
+}
+
+// TestBenchmarksFaultInjectedMatchesSerial is the recovery differential
+// on the five paper benchmarks: a daemon session whose first two
+// attempts panic is retried by the session layer, and its verdict must
+// equal a clean one-shot run of the serial detector at the same seed.
+func TestBenchmarksFaultInjectedMatchesSerial(t *testing.T) {
 	for _, b := range bench.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
-			src := b.Source()
-			for _, seed := range seeds {
-				serial, err := core.RunSource(b.Name+".mj", src, core.Full().WithSeed(seed))
+			file, src := b.Name+".mj", b.Source()
+			for _, seed := range faultedSeeds() {
+				want, err := racedet.Detect(file, src, racedet.Options{Seed: seed})
 				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
+					t.Fatalf("seed %d one-shot: %v", seed, err)
 				}
-				if serial.Err != nil {
-					t.Fatalf("seed %d: runtime: %v", seed, serial.Err)
+				res, m := analyzeFaulted(t, 3, "2", service.JobRequest{File: file, Source: src, Seed: seed})
+				if res.Degraded || res.CompileError != "" || res.RuntimeError != "" {
+					t.Fatalf("seed %d: session not recovered: %+v", seed, res)
 				}
-				want := renderReports(serial)
-
-				plan, expectFire := panicPlan(t, seed, serial.DetectorStats.Trie.Events)
-				res, err := core.RunSource(b.Name+".mj", src, faultedConfig(seed, plan))
-				if err != nil {
-					t.Fatalf("seed %d faulted: %v", seed, err)
+				if !reflect.DeepEqual(res.Races, want.Races) {
+					t.Errorf("seed %d: races diverge from one-shot (%d vs %d)", seed, len(res.Races), len(want.Races))
 				}
-				if res.Err != nil {
-					t.Fatalf("seed %d faulted: runtime: %v", seed, res.Err)
+				if res.RacyObjects != want.RacyObjects {
+					t.Errorf("seed %d: racy objects = %d, want %d", seed, res.RacyObjects, want.RacyObjects)
 				}
-				if got := renderReports(res); got != want {
-					t.Errorf("seed %d: faulted run diverges from serial (%d vs %d reports)",
-						seed, len(res.Reports), len(serial.Reports))
-				}
-				if !expectFire {
-					continue
-				}
-				if plan.Fired() == 0 {
-					t.Fatalf("seed %d: injected panic never fired", seed)
-				}
-				if res.DetectorStats.Recovery.Restarts == 0 {
-					t.Errorf("seed %d: panic fired but no worker restart recorded", seed)
+				if res.Retries != 2 || m.SessionPanics != 2 {
+					t.Errorf("seed %d: retries=%d session_panics=%d, want 2/2", seed, res.Retries, m.SessionPanics)
 				}
 			}
 		})
@@ -150,42 +78,34 @@ func TestBenchmarksFaultInjectedMatchesSerial(t *testing.T) {
 }
 
 // TestCorpusDegradedCompletes pins the never-lose-the-analysis
-// guarantee: with a retry budget of zero every fired panic degrades
-// its shard to the Eraser lockset path, and the run still completes
-// with a report and an honest degradation counter — never an error,
-// never a silently missing shard.
+// guarantee: when a session panics more often than the retry budget
+// allows, the job still completes — degraded, with the Eraser pass's
+// verdict, counted in jobs_degraded — and never as a transport error.
 func TestCorpusDegradedCompletes(t *testing.T) {
 	for _, e := range loadCorpus(t) {
 		e := e
 		t.Run(e.name, func(t *testing.T) {
 			t.Parallel()
-			for seed := int64(0); seed < 10; seed++ {
-				serial, err := core.RunSource(e.name+".mj", e.src, core.Full().WithSeed(seed))
+			file := e.name + ".mj"
+			for _, seed := range faultedSeeds() {
+				want, err := racedet.Detect(file, e.src, racedet.Options{Seed: seed, Detector: racedet.Eraser})
 				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
+					t.Fatalf("seed %d one-shot Eraser: %v", seed, err)
 				}
-				plan, expectFire := panicPlan(t, seed, serial.DetectorStats.Trie.Events)
-				cfg := faultedConfig(seed, plan)
-				cfg.RetryBudget = 0
-				res, err := core.RunSource(e.name+".mj", e.src, cfg)
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
+				res, m := analyzeFaulted(t, 1, "2", service.JobRequest{File: file, Source: e.src, Seed: seed})
+				if !res.Degraded || res.DegradedReason == "" {
+					t.Fatalf("seed %d: panics past the budget did not degrade: %+v", seed, res)
 				}
-				if res.Err != nil {
-					t.Fatalf("seed %d: degraded run must not fail the analysis: %v", seed, res.Err)
+				if res.CompileError != "" || res.RuntimeError != "" {
+					t.Fatalf("seed %d: degraded pass failed: %+v", seed, res)
 				}
-				if !expectFire {
-					continue
+				if !reflect.DeepEqual(res.BaselineReports, want.BaselineReports) {
+					t.Errorf("seed %d: degraded verdict differs from one-shot Eraser:\n got %v\nwant %v",
+						seed, res.BaselineReports, want.BaselineReports)
 				}
-				if plan.Fired() == 0 {
-					t.Fatalf("seed %d: injected panic never fired", seed)
-				}
-				rec := res.DetectorStats.Recovery
-				if rec.DegradedShards == 0 {
-					t.Errorf("seed %d: panic fired with budget 0 but no shard degraded: %+v", seed, rec)
-				}
-				if rec.Restarts != 0 {
-					t.Errorf("seed %d: budget 0 must not restart, got %d restarts", seed, rec.Restarts)
+				if m.JobsDegraded != 1 || m.Terminal() != m.JobsAdmitted {
+					t.Errorf("seed %d: degraded=%d terminal=%d admitted=%d",
+						seed, m.JobsDegraded, m.Terminal(), m.JobsAdmitted)
 				}
 			}
 		})

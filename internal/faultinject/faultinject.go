@@ -1,10 +1,10 @@
 // Package faultinject provides deterministic, seedable fault injection
-// for the sharded detection back end's robustness tests and the CLI
-// -inject flag.
+// for the sharded detection back end's robustness tests, the racedetd
+// daemon's session and disk paths, and the CLI -inject flags.
 //
 // A Plan is a set of faults that fire at exact points in a run —
 // "panic on shard 2's 157th access", "treat shard 0's queue as full
-// the first three times", "corrupt shard 1's next checkpoint" — so a
+// the first three times", "panic in job 1's session twice" — so a
 // failing recovery scenario replays exactly. Plans implement the
 // detector.FaultInjector interface structurally (this package imports
 // no detector code); all trigger state is atomic because the hooks run
@@ -15,7 +15,6 @@
 //	panic:shard=S,event=N        one-shot panic on shard S's N-th access
 //	slow:shard=S,every=K,delay=D sleep D on every K-th access of shard S
 //	queuefull:shard=S,times=T    report shard S's queue full T times
-//	corrupt-checkpoint:shard=S   mark shard S's next checkpoint corrupt
 //
 // shard=* (or shard=any) matches every shard.
 //
@@ -26,6 +25,8 @@
 //	session-panic:job=J[,times=T]  panic inside job J's session runner
 //	                               (T firings, default 1; the service
 //	                               retries and eventually degrades)
+//	slow-session:job=J,delay=D     sleep D at the start of each of job
+//	                               J's session attempts
 //	client-disconnect:job=J        drop job J's client mid-request; the
 //	                               session must still complete
 //	slow-client:job=J,delay=D      stall job J's request body by D
@@ -49,7 +50,6 @@ package faultinject
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"strconv"
 	"strings"
@@ -83,16 +83,16 @@ type queueFault struct {
 	left  atomic.Int64
 }
 
-type corruptFault struct {
-	shard int
-	done  atomic.Bool
-}
-
 // Session-level fault types (racedetd daemon; see internal/service).
 
 type sessionPanicFault struct {
 	job  uint64 // anyJob = every job
 	left atomic.Int64
+}
+
+type slowSessionFault struct {
+	job   uint64
+	delay time.Duration
 }
 
 type disconnectFault struct {
@@ -135,12 +135,12 @@ type crashFault struct {
 
 // Plan is a deterministic set of faults; safe for concurrent use.
 type Plan struct {
-	panics   []*panicFault
-	slows    []*slowFault
-	qfulls   []*queueFault
-	corrupts []*corruptFault
+	panics []*panicFault
+	slows  []*slowFault
+	qfulls []*queueFault
 
 	sessPanics  []*sessionPanicFault
+	sessSlows   []*slowSessionFault
 	disconnects []*disconnectFault
 	slowClients []*slowClientFault
 	admissions  []*admissionFault
@@ -170,8 +170,8 @@ func diskOp(m *sync.Map, tag string) uint64 {
 }
 
 // WorkerEvent implements the worker-side hook: it panics when a panic
-// fault matches (one-shot, so a journaled replay of the same event
-// does not re-fire) and sleeps when a slow fault matches.
+// fault matches (one-shot: each panic fault fires at most once per
+// plan) and sleeps when a slow fault matches.
 func (p *Plan) WorkerEvent(shard int, n uint64) {
 	for _, f := range p.slows {
 		if match(f.shard, shard) && f.every > 0 && n%f.every == 0 {
@@ -199,24 +199,19 @@ func (p *Plan) QueueFull(shard int) bool {
 	return false
 }
 
-// CorruptCheckpoint implements the checkpoint hook: true once per
-// matching corrupt-checkpoint fault.
-func (p *Plan) CorruptCheckpoint(shard int) bool {
-	for _, f := range p.corrupts {
-		if match(f.shard, shard) && f.done.CompareAndSwap(false, true) {
+// SessionEvent implements the daemon's session hook: it sleeps when a
+// slow-session fault matches, then panics while a matching
+// session-panic fault has firings left. The service runs every session
+// under a recover barrier, so the panic is contained, counted, retried,
+// and eventually degraded — exactly the path the differential tests
+// exercise.
+func (p *Plan) SessionEvent(job uint64) {
+	for _, f := range p.sessSlows {
+		if matchJob(f.job, job) {
 			p.fired.Add(1)
-			return true
+			time.Sleep(f.delay)
 		}
 	}
-	return false
-}
-
-// SessionEvent implements the daemon's session hook: it panics while a
-// matching session-panic fault has firings left. The service runs every
-// session under a recover barrier, so the panic is contained, counted,
-// retried, and eventually degraded — exactly the path the differential
-// tests exercise.
-func (p *Plan) SessionEvent(job uint64) {
 	for _, f := range p.sessPanics {
 		if matchJob(f.job, job) && f.left.Add(-1) >= 0 {
 			p.fired.Add(1)
@@ -313,9 +308,13 @@ func (p *Plan) Fired() uint64 { return p.fired.Load() }
 
 // Empty reports whether the plan contains no faults at all.
 func (p *Plan) Empty() bool {
-	return len(p.panics) == 0 && len(p.slows) == 0 &&
-		len(p.qfulls) == 0 && len(p.corrupts) == 0 &&
-		!p.HasSessionFaults() && !p.HasDiskFaults()
+	return !p.HasShardFaults() && !p.HasSessionFaults() && !p.HasDiskFaults()
+}
+
+// HasShardFaults reports whether the plan contains faults for the
+// sharded back end's hooks (which a serial detector never consults).
+func (p *Plan) HasShardFaults() bool {
+	return len(p.panics) > 0 || len(p.slows) > 0 || len(p.qfulls) > 0
 }
 
 // HasDiskFaults reports whether the plan contains durable-write faults
@@ -328,27 +327,8 @@ func (p *Plan) HasDiskFaults() bool {
 // HasSessionFaults reports whether the plan contains daemon-level
 // faults (which the sharded back end's hooks never consult).
 func (p *Plan) HasSessionFaults() bool {
-	return len(p.sessPanics) > 0 || len(p.disconnects) > 0 ||
+	return len(p.sessPanics) > 0 || len(p.sessSlows) > 0 || len(p.disconnects) > 0 ||
 		len(p.slowClients) > 0 || len(p.admissions) > 0
-}
-
-// PanicPlan returns a plan with a single worker panic at a seed-chosen
-// shard and event index in [1, maxEvent]. The corpus differential
-// tests sweep seeds to cover panics at arbitrary points of the stream.
-func PanicPlan(seed int64, shards int, maxEvent uint64) *Plan {
-	r := rand.New(rand.NewSource(seed))
-	if shards < 1 {
-		shards = 1
-	}
-	if maxEvent < 1 {
-		maxEvent = 1
-	}
-	p := &Plan{}
-	p.panics = append(p.panics, &panicFault{
-		shard: r.Intn(shards),
-		event: 1 + uint64(r.Int63n(int64(maxEvent))),
-	})
-	return p
 }
 
 // Parse builds a Plan from the textual spec syntax documented at the
@@ -381,6 +361,17 @@ func Parse(spec string) (*Plan, error) {
 			f := &sessionPanicFault{job: job}
 			f.left.Store(int64(times))
 			p.sessPanics = append(p.sessPanics, f)
+			continue
+		case "slow-session":
+			job, err := args.job()
+			if err != nil {
+				return nil, fmt.Errorf("fault %q: %w", part, err)
+			}
+			d, err := time.ParseDuration(args["delay"])
+			if err != nil {
+				return nil, fmt.Errorf("fault %q: bad delay: %w", part, err)
+			}
+			p.sessSlows = append(p.sessSlows, &slowSessionFault{job: job, delay: d})
 			continue
 		case "client-disconnect":
 			job, err := args.job()
@@ -472,8 +463,6 @@ func Parse(spec string) (*Plan, error) {
 			f := &queueFault{shard: shard}
 			f.left.Store(int64(times))
 			p.qfulls = append(p.qfulls, f)
-		case "corrupt-checkpoint":
-			p.corrupts = append(p.corrupts, &corruptFault{shard: shard})
 		default:
 			return nil, fmt.Errorf("fault %q: unknown kind %q", part, kind)
 		}

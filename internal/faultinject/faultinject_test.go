@@ -9,7 +9,7 @@ import (
 )
 
 func TestParseSpec(t *testing.T) {
-	p, err := Parse("panic:shard=1,event=100; slow:shard=*,every=64,delay=1ms; queuefull:shard=2,times=3; corrupt-checkpoint:shard=0")
+	p, err := Parse("panic:shard=1,event=100; slow:shard=*,every=64,delay=1ms; queuefull:shard=2,times=3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,11 +22,8 @@ func TestParseSpec(t *testing.T) {
 	if len(p.qfulls) != 1 || p.qfulls[0].shard != 2 || p.qfulls[0].left.Load() != 3 {
 		t.Errorf("queuefull fault = %+v", p.qfulls)
 	}
-	if len(p.corrupts) != 1 || p.corrupts[0].shard != 0 {
-		t.Errorf("corrupt fault = %+v", p.corrupts)
-	}
-	if p.Empty() {
-		t.Error("plan should not be empty")
+	if p.Empty() || !p.HasShardFaults() || p.HasSessionFaults() {
+		t.Error("plan should hold only shard faults")
 	}
 }
 
@@ -43,6 +40,8 @@ func TestParseEmptyAndErrors(t *testing.T) {
 		"slow:shard=0,every=8",   // missing delay
 		"queuefull:shard=0",      // missing times
 		"panic:shard=0 event=1",  // malformed args
+		"corrupt-checkpoint:shard=0",
+		"slow-session:job=1", // missing delay
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) should fail", bad)
@@ -100,39 +99,27 @@ func TestQueueFullBudget(t *testing.T) {
 	}
 }
 
-func TestCorruptCheckpointOneShot(t *testing.T) {
-	p, err := Parse("corrupt-checkpoint:shard=2")
+func TestSlowSessionDelays(t *testing.T) {
+	p, err := Parse("slow-session:job=2,delay=20ms")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.CorruptCheckpoint(0) {
-		t.Error("wrong shard corrupted")
+	if !p.HasSessionFaults() || p.HasShardFaults() {
+		t.Error("slow-session must be a session fault only")
 	}
-	if !p.CorruptCheckpoint(2) {
-		t.Error("expected corruption")
+	start := time.Now()
+	p.SessionEvent(1) // wrong job: no delay
+	if d := time.Since(start); d >= 20*time.Millisecond {
+		t.Errorf("wrong job delayed by %v", d)
 	}
-	if p.CorruptCheckpoint(2) {
-		t.Error("one-shot corruption fired twice")
+	start = time.Now()
+	p.SessionEvent(2)
+	p.SessionEvent(2) // fires on every attempt, not once
+	if d := time.Since(start); d < 40*time.Millisecond {
+		t.Errorf("two attempts of job 2 delayed only %v, want >= 40ms", d)
 	}
-}
-
-func TestPanicPlanDeterministic(t *testing.T) {
-	a, b := PanicPlan(42, 4, 1000), PanicPlan(42, 4, 1000)
-	if a.panics[0].shard != b.panics[0].shard || a.panics[0].event != b.panics[0].event {
-		t.Errorf("same seed diverged: %+v vs %+v", a.panics[0], b.panics[0])
-	}
-	if a.panics[0].shard < 0 || a.panics[0].shard >= 4 {
-		t.Errorf("shard %d out of range", a.panics[0].shard)
-	}
-	if a.panics[0].event < 1 || a.panics[0].event > 1000 {
-		t.Errorf("event %d out of range", a.panics[0].event)
-	}
-	seen := map[int]bool{}
-	for seed := int64(0); seed < 20; seed++ {
-		seen[PanicPlan(seed, 4, 1000).panics[0].shard] = true
-	}
-	if len(seen) < 2 {
-		t.Error("20 seeds all chose the same shard; plan is not spreading")
+	if p.Fired() != 2 {
+		t.Errorf("Fired() = %d, want 2", p.Fired())
 	}
 }
 

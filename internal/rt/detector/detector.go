@@ -25,7 +25,6 @@ package detector
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 
 	"racedet/internal/rt/cache"
@@ -77,30 +76,10 @@ type Options struct {
 	// allocated at tsp.mj:12:9"); optional.
 	DescribeObj func(event.ObjID) string
 
-	// JournalCap enables fault tolerance in the sharded back end: each
-	// shard keeps a bounded write-ahead journal of up to this many
-	// routed messages and checkpoints its state when the journal fills,
-	// so a panicked worker can be restarted from the checkpoint and
-	// replayed (see supervise.go). 0 disables journaling — a worker
-	// panic then surfaces through Err, the pre-supervision behavior.
-	// The serial detector ignores it.
-	JournalCap int
-	// RetryBudget is the number of restart attempts per shard before
-	// the shard degrades to the Eraser lockset path instead of failing
-	// the run (meaningful only with JournalCap > 0). 0 degrades on the
-	// first panic; the degradation is counted in Stats.Recovery.
-	RetryBudget int
 	// QueueDepth bounds each shard's router→worker queue in messages
-	// (0 = DefaultQueueDepth). A full queue blocks the router unless
-	// DropOnBackpressure is set, so a slow or restarting worker can
-	// never grow router memory without bound.
+	// (0 = DefaultQueueDepth). A full queue blocks the router, so a
+	// slow worker can never grow router memory without bound.
 	QueueDepth int
-	// DropOnBackpressure drops access batches — with accounting in
-	// Stats.Recovery — instead of blocking when a shard queue is full.
-	// Dropped batches are pure detection loss (the run may then under-
-	// report); control messages are never dropped, so the cache layers
-	// stay sound. Off by default: blocking preserves byte-equivalence.
-	DropOnBackpressure bool
 	// Faults installs deterministic fault-injection hooks on the
 	// sharded back end's hot paths (see internal/faultinject); nil in
 	// production.
@@ -154,38 +133,15 @@ type Stats struct {
 	OwnerOverflows uint64
 	Trie           trie.Stats
 	Cache          cache.Stats
-	// Recovery quantifies the sharded back end's fault-tolerance work
-	// (all zero for the serial detector and for undisturbed runs).
+	// Recovery is the sharded back end's router backpressure (all zero
+	// for the serial detector).
 	Recovery RecoveryStats
 }
 
-// RecoveryStats accounts the fault-tolerant sharded back end's
-// journal, checkpoint, restart, degradation, and backpressure
-// activity. Non-zero DegradedShards or DroppedEvents mean the run's
-// reports are best-effort for the affected shards; everything else is
-// bookkeeping for runs that recovered exactly.
+// RecoveryStats accounts the sharded back end's router backpressure.
 type RecoveryStats struct {
-	// Journaled counts messages written to shard journals; Checkpoints
-	// counts state snapshots taken; Replayed counts messages re-
-	// delivered from journals during recovery.
-	Journaled   uint64
-	Checkpoints uint64
-	Replayed    uint64
-	// Restarts counts worker restart attempts after panics.
-	Restarts uint64
-	// CheckpointCorruptions counts restore attempts abandoned because
-	// the checkpoint failed validation (each degrades the shard).
-	CheckpointCorruptions uint64
-	// DegradedShards counts shards that exhausted their retry budget
-	// and fell back to the Eraser lockset path; DegradedEvents counts
-	// the accesses that path handled.
-	DegradedShards int
-	DegradedEvents uint64
-	// DroppedBatches/DroppedEvents count access batches discarded under
-	// the drop backpressure policy; BackpressureStalls counts blocking
-	// sends that found the queue full (including injected fullness).
-	DroppedBatches     uint64
-	DroppedEvents      uint64
+	// BackpressureStalls counts blocking sends that found a shard queue
+	// full (including injected fullness).
 	BackpressureStalls uint64
 	// QueueHighWater is the maximum router-queue depth observed across
 	// shards (in messages).
@@ -277,22 +233,6 @@ func (ts *trieStage) record(r Report, all bool) {
 		r.ObjDesc = ts.describe(loc.Obj)
 	}
 	ts.reports = append(ts.reports, r)
-}
-
-// copyReports replaces the stage's report set with a deep copy of
-// src's; the history is untouched.
-func (ts *trieStage) copyReports(src *trieStage) {
-	ts.reports = append([]Report(nil), src.reports...)
-	ts.reportedLoc = maps.Clone(src.reportedLoc)
-	ts.reportedObj = maps.Clone(src.reportedObj)
-}
-
-// clone deep-copies the stage (history included) for a checkpoint.
-func (ts *trieStage) clone() trieStage {
-	c := *ts
-	c.hist = cloneHistory(ts.hist)
-	c.copyReports(ts)
-	return c
 }
 
 // sortedObjs returns the keys of objs in ascending order.

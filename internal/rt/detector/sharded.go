@@ -25,11 +25,14 @@
 //
 // Allocation discipline: batch buffers are recycled. Each worker
 // returns processed buffers to the router over a second SPSC ring
-// (the freelist); the supervised variant, which must keep buffers
-// alive in its write-ahead journal, recycles them when a checkpoint
-// truncates the journal. Buffers that miss the freelist fall back to
-// a package-level pool shared across runs, so steady-state routing
+// (the freelist). Buffers that miss the freelist fall back to a
+// package-level pool shared across runs, so steady-state routing
 // allocates nothing.
+//
+// Failure: a worker panic kills only that worker. It keeps draining
+// its ring so the router never blocks, and Err reports every dead
+// shard once the run ends. Retrying or degrading a failed run is the
+// caller's business (racedetd's session layer does both).
 //
 // Bounded-memory options: MaxCacheThreads and MaxOwnerLocations bound
 // the front end's single cache and ownership table. Only MaxTrieNodes
@@ -47,7 +50,6 @@ import (
 	"sync"
 
 	"racedet/internal/rt/event"
-	"racedet/internal/rt/journal"
 	"racedet/internal/rt/spsc"
 	"racedet/internal/rt/trie"
 )
@@ -75,6 +77,21 @@ var (
 	_ Backend = (*Detector)(nil)
 	_ Backend = (*Sharded)(nil)
 )
+
+// FaultInjector is the deterministic fault-injection surface the
+// sharded back end exposes for robustness testing; implementations
+// live in internal/faultinject. WorkerEvent runs on worker goroutines
+// and QueueFull on the router, so implementations must be safe for
+// concurrent use.
+type FaultInjector interface {
+	// WorkerEvent fires on shard's n-th processed access (1-based,
+	// counted per shard). It may panic (worker crash) or sleep (slow
+	// worker); returning normally injects nothing.
+	WorkerEvent(shard int, n uint64)
+	// QueueFull reports whether the router should treat shard's queue
+	// as full right now, forcing the backpressure path.
+	QueueFull(shard int) bool
+}
 
 // shardAccess is one routed access: the event — lockset already
 // materialized by the front end — plus its detection-order stamp for
@@ -121,21 +138,13 @@ func putBatch(b shardBatch) {
 // worker owns one shard's trie slice. All fields are goroutine-local;
 // the router communicates only through the two rings.
 type worker struct {
-	idx     int
-	nshards int
-	opts    Options
-	ring    *spsc.Ring[shardBatch] // router → worker: routed batches
-	free    *spsc.Ring[shardBatch] // worker → router: recycled buffers
-	stage   trieStage
-	err     error
-
-	// Supervision state (see supervise.go); journal is nil when
-	// Options.JournalCap == 0 and the worker runs unsupervised.
-	journal  *journal.Log[shardBatch]
-	ckpt     journal.Checkpoint[workerSnapshot]
-	events   uint64 // accesses processed, the fault-hook index
-	rec      RecoveryStats
-	degraded *degradedShard // non-nil once the shard fell back to Eraser
+	idx    int
+	opts   Options
+	ring   *spsc.Ring[shardBatch] // router → worker: routed batches
+	free   *spsc.Ring[shardBatch] // worker → router: recycled buffers
+	stage  trieStage
+	err    error
+	events uint64 // accesses processed, the fault-hook index
 }
 
 // Sharded is the parallel Backend: the filter front end (event.Sink,
@@ -152,8 +161,6 @@ type Sharded struct {
 	// Router-side backpressure accounting (producer goroutine only
 	// until finalize merges it into the result's Recovery stats).
 	depthHigh []int // per-shard ring high-water mark, in batches
-	dropped   uint64
-	droppedEv uint64
 	stalls    uint64
 
 	wg  sync.WaitGroup
@@ -191,35 +198,25 @@ func NewSharded(opts Options, n, batchSize int) *Sharded {
 	}
 	for i := 0; i < n; i++ {
 		w := &worker{
-			idx:     i,
-			nshards: n,
-			opts:    opts,
-			ring:    spsc.New[shardBatch](depth),
+			idx:  i,
+			opts: opts,
+			ring: spsc.New[shardBatch](depth),
 			// One spare lap of freelist slots beyond the ring depth:
 			// every buffer in flight has a place to come home to, so
 			// in steady state the freelist never overflows into the
 			// pool.
 			free: spsc.New[shardBatch](depth + 2),
 		}
-		w.freshState()
-		if opts.JournalCap > 0 {
-			w.journal = journal.New[shardBatch](opts.JournalCap)
-		}
+		// Worker-local interner: workers must never touch the front
+		// end's intern table, which the producer goroutine keeps
+		// mutating.
+		h := newHistory(opts, splitBudget(opts.MaxTrieNodes, n), event.NewInterner())
+		w.stage = newTrieStage(h, opts.ReportAll)
 		s.workers = append(s.workers, w)
 		s.wg.Add(1)
 		go w.run(&s.wg)
 	}
 	return s
-}
-
-// freshState (re)builds the worker's empty trie slice; used at
-// construction and when a restart finds no checkpoint to restore.
-func (w *worker) freshState() {
-	// Worker-local interner: workers must never touch the front end's
-	// intern table, which the producer goroutine keeps mutating.
-	h := newHistory(w.opts, splitBudget(w.opts.MaxTrieNodes, w.nshards), event.NewInterner())
-	w.stage = newTrieStage(h, w.opts.ReportAll)
-	w.events = 0
 }
 
 // splitBudget divides a global memory bound across n shards, never
@@ -237,19 +234,6 @@ func splitBudget(total, n int) int {
 
 func (w *worker) run(wg *sync.WaitGroup) {
 	defer wg.Done()
-	if w.journal != nil {
-		// Supervised: every batch is journaled before processing and a
-		// panic restarts the worker from its checkpoint (supervise.go).
-		// Buffers are recycled when a checkpoint truncates the journal,
-		// not here.
-		for {
-			batch, ok := w.ring.Pop()
-			if !ok {
-				return
-			}
-			w.handleSupervised(batch)
-		}
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			w.err = fmt.Errorf("detector shard %d: panic: %v", w.idx, r)
@@ -298,7 +282,7 @@ func (w *worker) access(sa *shardAccess) {
 	if f := w.opts.Faults; f != nil {
 		// Fault-injection hook: may sleep (slow worker) or panic. A
 		// panic here is indistinguishable from a detector bug, which is
-		// exactly what the supervision tests need.
+		// exactly what the failure tests need.
 		f.WorkerEvent(w.idx, w.events)
 	}
 	w.stage.ship(&sa.a, sa.seq)
@@ -339,17 +323,9 @@ func (s *Sharded) flushShard(i int) {
 		full = true
 	}
 	if full {
-		if s.opts.DropOnBackpressure {
-			// Lossy policy: batches may be dropped, but every loss is
-			// accounted, so a run can report exactly what it skipped.
-			s.dropped++
-			s.droppedEv += uint64(len(s.pending[i]))
-			s.pending[i] = s.pending[i][:0]
-			return
-		}
-		// Default policy: block until the worker drains (Push parks the
-		// router only while the ring is actually full). Counted so
-		// operators can see router stalls and resize the rings.
+		// Block until the worker drains (Push parks the router only
+		// while the ring is actually full). Counted so operators can
+		// see router stalls and resize the rings.
 		s.stalls++
 	}
 	w.ring.Push(s.pending[i])
@@ -379,9 +355,8 @@ func (s *Sharded) ship(a *event.Access, seq uint64) {
 func (s *Sharded) finalize() { s.fin.Do(s.doFinalize) }
 
 func (s *Sharded) doFinalize() {
-	// Final flush always blocks: the workers are about to drain their
-	// rings to completion, so the push cannot deadlock, and dropping
-	// the tail of the stream under the lossy policy would be pure loss.
+	// The final flush cannot deadlock: the workers are about to drain
+	// their rings to completion.
 	for i := range s.pending {
 		if len(s.pending[i]) > 0 {
 			s.workers[i].ring.Push(s.pending[i])
@@ -399,8 +374,6 @@ func (s *Sharded) doFinalize() {
 	// serial back end's exactly.
 	s.merged = s.filterStats()
 	rec := &s.merged.Recovery
-	rec.DroppedBatches = s.dropped
-	rec.DroppedEvents = s.droppedEv
 	rec.BackpressureStalls = s.stalls
 	for i, w := range s.workers {
 		if w.err != nil {
@@ -408,18 +381,6 @@ func (s *Sharded) doFinalize() {
 		}
 		if s.depthHigh[i] > rec.QueueHighWater {
 			rec.QueueHighWater = s.depthHigh[i]
-		}
-		rec.Restarts += w.rec.Restarts
-		rec.Checkpoints += w.rec.Checkpoints
-		rec.CheckpointCorruptions += w.rec.CheckpointCorruptions
-		if w.degraded != nil {
-			rec.DegradedShards++
-		}
-		rec.DegradedEvents += w.rec.DegradedEvents
-		if w.journal != nil {
-			js := w.journal.Stats()
-			rec.Journaled += js.Appended
-			rec.Replayed += js.Replayed
 		}
 		s.reports = append(s.reports, w.stage.reports...)
 		maps.Copy(objSet, w.stage.reportedObj)
@@ -499,11 +460,9 @@ func (s *Sharded) TrieLocationCount() int {
 // time, after the interpreter has finished, so it may read the heap.
 func (s *Sharded) SetDescribeObj(fn func(event.ObjID) string) { s.opts.DescribeObj = fn }
 
-// Err implements Backend: every unrecovered worker failure, joined.
-// Supervised shards that recovered (or degraded to the Eraser path)
-// contribute nothing here — the run completed and Stats().Recovery
-// tells the story. Safe under concurrent polling: finalization runs
-// exactly once and s.err is written before the Once releases waiters.
+// Err implements Backend: every worker failure, joined. Safe under
+// concurrent polling: finalization runs exactly once and s.err is
+// written before the Once releases waiters.
 func (s *Sharded) Err() error {
 	s.finalize()
 	return s.err

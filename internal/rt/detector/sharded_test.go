@@ -3,8 +3,13 @@ package detector
 import (
 	"fmt"
 	"math/rand"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"racedet/internal/faultinject"
 	"racedet/internal/rt/event"
 )
 
@@ -307,6 +312,115 @@ func TestShardedDescribeObjAtMerge(t *testing.T) {
 	for i := range want {
 		if got[i].ObjDesc == "" || got[i].ObjDesc != want[i].ObjDesc {
 			t.Fatalf("report %d ObjDesc = %q, want %q", i, got[i].ObjDesc, want[i].ObjDesc)
+		}
+	}
+}
+
+// testInjector is a minimal FaultInjector for scenarios that need
+// tighter control than the faultinject spec language offers.
+type testInjector struct {
+	slowEvery  uint64
+	slowDelay  time.Duration
+	queueFullN atomic.Int64
+}
+
+func (i *testInjector) WorkerEvent(shard int, n uint64) {
+	if i.slowEvery > 0 && n%i.slowEvery == 0 {
+		time.Sleep(i.slowDelay)
+	}
+}
+
+func (i *testInjector) QueueFull(shard int) bool { return i.queueFullN.Add(-1) >= 0 }
+
+func compareReports(t *testing.T, label string, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d reports, want %d\ngot:  %v\nwant: %v", label, len(got), len(want), got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: report %d differs\ngot:  %s\nwant: %s", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestBlockPolicyStalls: injected queue fullness is counted as stalls
+// and never drops anything — the reports stay byte-identical to serial.
+func TestBlockPolicyStalls(t *testing.T) {
+	serial := New(Options{})
+	feedRandom(serial, 4, 3000)
+	want := reportStrings(serial)
+
+	inj := &testInjector{}
+	inj.queueFullN.Store(25)
+	sh := NewSharded(Options{QueueDepth: 2, Faults: inj}, 2, 8)
+	feedRandom(sh, 4, 3000)
+	if err := sh.Err(); err != nil {
+		t.Fatalf("block-policy run failed: %v", err)
+	}
+	compareReports(t, "block policy", reportStrings(sh), want)
+	if rec := sh.Stats().Recovery; rec.BackpressureStalls == 0 {
+		t.Errorf("injected fullness produced no stall accounting: %+v", rec)
+	}
+}
+
+// TestSlowWorkerStillExact: a slow shard exercises real queue
+// backpressure (bounded depth) without changing any result.
+func TestSlowWorkerStillExact(t *testing.T) {
+	serial := New(Options{})
+	feedRandom(serial, 6, 2000)
+	want := reportStrings(serial)
+
+	inj := &testInjector{slowEvery: 100, slowDelay: time.Millisecond}
+	sh := NewSharded(Options{QueueDepth: 2, Faults: inj}, 2, 8)
+	feedRandom(sh, 6, 2000)
+	if err := sh.Err(); err != nil {
+		t.Fatalf("slow-worker run failed: %v", err)
+	}
+	compareReports(t, "slow worker", reportStrings(sh), want)
+}
+
+// TestUnsupervisedPanicsAggregate: a worker panic is fatal for its
+// shard, and Err must surface every failure, not just the first.
+func TestUnsupervisedPanicsAggregate(t *testing.T) {
+	plan, err := faultinject.Parse("panic:shard=0,event=20;panic:shard=1,event=20")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := NewSharded(Options{Faults: plan}, 2, 8)
+	feedRandom(sh, 1, 3000)
+	got := sh.Err()
+	if got == nil {
+		t.Fatal("two dead shards but Err() == nil")
+	}
+	for _, frag := range []string{"shard 0", "shard 1"} {
+		if !strings.Contains(got.Error(), frag) {
+			t.Errorf("Err() = %q, missing %q", got, frag)
+		}
+	}
+}
+
+// TestErrConcurrentPolling: Err (and the other result accessors) must
+// be safe to call from multiple goroutines — the first caller
+// finalizes, the rest must neither race nor double-finalize.
+func TestErrConcurrentPolling(t *testing.T) {
+	sh := NewSharded(Options{}, 4, 16)
+	feedRandom(sh, 8, 2000)
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = sh.Err()
+			_ = sh.Stats()
+			_ = sh.Reports()
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("poller %d: %v", i, err)
 		}
 	}
 }

@@ -121,8 +121,7 @@ func (b *Batcher) Flush() {
 	// The buffer is truncated via defer: if the sink panics mid-
 	// delivery, the run counts as consumed, so a caller that recovers
 	// and keeps going can never re-deliver the prefix the sink already
-	// saw (the fault-tolerant back end journals upstream of us and
-	// re-drives delivery itself).
+	// saw.
 	defer func() { *buf = (*buf)[:0] }()
 	if b.batch != nil {
 		b.batch.AccessBatch(*buf)

@@ -140,11 +140,3 @@ func (t *LocTable[V]) Range(fn func(Loc, V)) {
 		}
 	}
 }
-
-// Clone returns an independent copy with the same seed. Values are
-// copied as they are; a table of pointers shares the pointees.
-func (t *LocTable[V]) Clone() *LocTable[V] {
-	c := *t
-	c.slots = append([]locSlot[V](nil), t.slots...)
-	return &c
-}

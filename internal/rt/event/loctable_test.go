@@ -89,29 +89,6 @@ func TestLocTableMatchesMap(t *testing.T) {
 	}
 }
 
-// TestLocTableCloneIsIndependent checks that writes to a clone never
-// reach the original, including writes that grow the clone.
-func TestLocTableCloneIsIndependent(t *testing.T) {
-	tb := NewLocTable[int](4)
-	a, b := Loc{Obj: 1}, Loc{Obj: -1, Slot: ArraySlot}
-	tb.Put(a, 1)
-	c := tb.Clone()
-	c.Put(a, 2)
-	for i := 0; i < 100; i++ {
-		c.Put(Loc{Obj: ObjID(i + 10)}, i)
-	}
-	c.Put(b, 3)
-	if v, _ := tb.Get(a); v != 1 || tb.Len() != 1 {
-		t.Fatalf("original changed: a=%d len=%d", v, tb.Len())
-	}
-	if _, ok := tb.Get(b); ok {
-		t.Fatal("key inserted into clone is visible in original")
-	}
-	if v, _ := c.Get(a); v != 2 || c.Len() != 102 {
-		t.Fatalf("clone: a=%d len=%d", v, c.Len())
-	}
-}
-
 // TestLocTableSeedsDiffer guards the hash-flooding defence: two tables
 // draw independent seeds.
 func TestLocTableSeedsDiffer(t *testing.T) {

@@ -61,13 +61,6 @@ func NewBounded(maxLocations int) *Table {
 	return t
 }
 
-// Clone returns a deep copy of the table for checkpointing.
-func (tb *Table) Clone() *Table {
-	nt := *tb
-	nt.owner = tb.owner.Clone()
-	return &nt
-}
-
 // Filter processes an access by thread t to loc. It returns true if
 // the access must be forwarded to the detector (the location is
 // shared), false if the access is absorbed by the ownership model.

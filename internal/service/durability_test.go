@@ -170,12 +170,13 @@ func TestRecoveryRerunsIncompleteJob(t *testing.T) {
 		t.Fatalf("seeding admit: %v", err)
 	}
 	// An admit record written by an older daemon can carry the removed
-	// sampling and prior keys. Recovery drops them and re-runs the job
-	// unsampled, whose races are a superset of any sampled run's.
+	// sampling, prior and shard keys. Recovery drops them and re-runs
+	// the job unsampled on the serial detector, whose races are a
+	// superset of any sampled run's.
 	legacy := req
 	legacy.IdempotencyKey = "legacy"
 	legacyJSON, _ := json.Marshal(legacy)
-	legacyJSON = append(legacyJSON[:len(legacyJSON)-1], `,"sample_k":4,"sample_budget":0.25,"priors":"on"}`...)
+	legacyJSON = append(legacyJSON[:len(legacyJSON)-1], `,"sample_k":4,"sample_budget":0.25,"priors":"on","shards":4,"batch":64}`...)
 	if err := st.Append(durable.Record{Kind: durable.KindAdmit, Job: 8, Key: legacy.IdempotencyKey, Request: legacyJSON}); err != nil {
 		t.Fatalf("seeding legacy admit: %v", err)
 	}
@@ -353,16 +354,15 @@ func TestFactcacheWriteFailureDegradesJob(t *testing.T) {
 }
 
 func TestDrainAbortMidReplayLeavesWalIncomplete(t *testing.T) {
-	// A trace-replay job is slowed by an injected shard fault, then the
-	// daemon drains with a deadline it cannot meet. The job must be
+	// A trace-replay job is slowed by an injected session fault, then
+	// the daemon drains with a deadline it cannot meet. The job must be
 	// counted aborted_at_drain, its WAL admit must stay incomplete, and
 	// the restarted daemon must re-run it to the full verdict.
 	traceBytes, live := recordTrace(t, "racy.mj", racyProg, 0)
 
 	dir := t.TempDir()
 	s1, c1, _, stop1 := stateServer(t, dir, Options{
-		Shards:            2,
-		DetectorFaultSpec: "slow:shard=*,every=1,delay=50ms",
+		Faults: mustPlan(t, "slow-session:job=1,delay=1s"),
 	})
 
 	req := JobRequest{File: "racy.mj", Trace: traceBytes, IdempotencyKey: "replay"}
@@ -390,7 +390,7 @@ func TestDrainAbortMidReplayLeavesWalIncomplete(t *testing.T) {
 
 	// Restart without the slow fault: the incomplete admit re-runs and
 	// the lost client's retry is served from the recovered result.
-	s2, c2, rec, stop2 := stateServer(t, dir, Options{Shards: 2})
+	s2, c2, rec, stop2 := stateServer(t, dir, Options{})
 	defer stop2()
 	if rec.Rerun != 1 {
 		t.Fatalf("recovery = %+v, want the aborted job re-run", rec)

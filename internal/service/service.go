@@ -1,7 +1,9 @@
 // Package service is the detection-as-a-service layer: a persistent,
 // multi-session daemon core that accepts compile+analyze jobs from
 // many concurrent clients over a local HTTP API and runs each one in
-// an isolated, supervised detector session.
+// an isolated detector session. The session runner is the only
+// retry/degrade layer: sessions run the serial detector, which has
+// no recovery machinery of its own.
 //
 // Robustness is the organizing principle, assembled from the pieces
 // the one-shot pipeline already has:
@@ -103,34 +105,15 @@ type Options struct {
 	// crash, not a machine crash).
 	WalSync string
 
-	// DetectorFaultSpec, when non-empty, is a shard-level fault
-	// injection spec (see internal/faultinject) passed to every
-	// session's detector back end — the knob the durability tests use
-	// to make a replay deterministically slow or crashy inside the
-	// session. Requires the sharded back end (Shards >= 1 after
-	// defaults) to have any effect.
-	DetectorFaultSpec string
-
 	// MaxTraceBytes bounds an uploaded binary trace in a replay job
 	// (default 8 MiB; negative removes the per-trace bound, leaving
 	// only the request-body limit). Traces above the bound are
 	// rejected as bad requests before any decoding happens.
 	MaxTraceBytes int
 
-	// Per-session detector defaults (overridable per job): Shards
-	// selects the sharded back end (default 2; a value < 0 forces the
-	// serial back end), BatchSize the per-thread event batching, and
-	// JournalCap/ShardRetryBudget its supervision, exactly as in
-	// racedet.Options.
-	Shards           int
-	BatchSize        int
-	JournalCap       int
-	ShardRetryBudget int
-
 	// Faults installs deterministic session-level and disk-level fault
-	// injection (nil in production). Shard-level faults for the
-	// sessions' detector back ends go through DetectorFaultSpec
-	// instead, so every session gets its own fresh fault state.
+	// injection (nil in production). Sessions run the serial detector,
+	// so shard-level faults in the plan never fire.
 	Faults *faultinject.Plan
 
 	// Log receives one line per lifecycle event (nil = discard).
@@ -170,21 +153,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 5 * time.Millisecond
-	}
-	switch {
-	case o.Shards == 0:
-		o.Shards = 2
-	case o.Shards < 0:
-		o.Shards = 0
-	}
-	if o.JournalCap == 0 {
-		o.JournalCap = 4096
-	}
-	if o.JournalCap < 0 {
-		o.JournalCap = 0
-	}
-	if o.ShardRetryBudget <= 0 {
-		o.ShardRetryBudget = 3
 	}
 	switch {
 	case o.MaxTraceBytes == 0:

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -382,6 +384,39 @@ func TestQueuedJobWaitsForSlot(t *testing.T) {
 	}
 }
 
+// TestLegacyShardKeysIgnored: clients written against the sharded
+// session back end still send "shards" and "batch". The keys are
+// ignored and the job runs on the serial detector, with the one-shot
+// verdict.
+func TestLegacyShardKeysIgnored(t *testing.T) {
+	_, c, stop := newTestServer(t, Options{})
+	defer stop()
+
+	body, err := json.Marshal(JobRequest{File: "racy.mj", Source: racyProg, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = append(body[:len(body)-1], `,"shards":4,"batch":64}`...)
+	resp, err := http.Post(c.Base+"/analyze", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("legacy keys: status %d, want 200", resp.StatusCode)
+	}
+	var res JobResult
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+		t.Fatal(err)
+	}
+	if res.CompileError != "" || res.RuntimeError != "" || res.Degraded {
+		t.Fatalf("legacy-key job not clean: %+v", res)
+	}
+	if ref := oneShot(t, "racy.mj", racyProg, 3); !reflect.DeepEqual(res.Races, ref.Races) {
+		t.Errorf("legacy-key job races differ from one-shot:\n got %+v\nwant %+v", res.Races, ref.Races)
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	s, c, stop := newTestServer(t, Options{})
 	defer stop()
@@ -538,10 +573,20 @@ func TestMetricsEndpointFormat(t *testing.T) {
 	for _, key := range []string{
 		"jobs_admitted", "jobs_completed", "jobs_shed", "jobs_aborted_at_drain",
 		"session_panics", "watchdog_fires", "races_reported", "draining",
-		"factcache_program_hits", "worker_restarts", "backpressure_stalls",
+		"factcache_program_hits", "events_shipped",
 	} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("metrics missing %s", key)
+		}
+	}
+	// Sessions run the serial detector: the shard supervision and
+	// backpressure counters are gone from the exposition.
+	for _, key := range []string{
+		"worker_restarts", "events_replayed", "checkpoints",
+		"degraded_shards", "dropped_events", "backpressure_stalls",
+	} {
+		if _, ok := m[key]; ok {
+			t.Errorf("metrics still export removed counter %s", key)
 		}
 	}
 	if m["draining"] != 0 {

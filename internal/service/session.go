@@ -15,8 +15,10 @@ import (
 
 // JobRequest is the wire format of one compile+analyze job. Only the
 // fields a tenant legitimately varies per job are exposed; the
-// operator-owned robustness knobs (watchdogs, retry budgets, journal
-// capacity, fact cache) come from the daemon's Options.
+// operator-owned robustness knobs (watchdogs, retry budget, fact
+// cache) come from the daemon's Options. Every session runs the serial
+// detector: keys a job carries beyond these fields (such as the
+// "shards" and "batch" of older clients and WAL records) are ignored.
 type JobRequest struct {
 	// File names the program in diagnostics; Source is the MJ text.
 	File   string `json:"file"`
@@ -26,8 +28,8 @@ type JobRequest struct {
 	// bytes of a racedet -record prog.mjtrace file; base64 on the
 	// wire). The job replays the trace through the session's detector
 	// instead of compiling and running Source — the record-once/
-	// analyze-many mode — so Source must be empty. All the detector
-	// knobs below apply to the replay exactly as to a live run.
+	// analyze-many mode — so Source must be empty. The knobs below
+	// apply to the replay exactly as to a live run.
 	Trace []byte `json:"trace,omitempty"`
 
 	// Seed perturbs the deterministic scheduler (0 = fixed
@@ -36,10 +38,6 @@ type JobRequest struct {
 	// Detector selects the runtime algorithm: "trie" (default),
 	// "eraser", "objectrace", "hb".
 	Detector string `json:"detector,omitempty"`
-	// Shards/Batch override the daemon's per-session back-end defaults
-	// when > 0; Shards < 0 forces the serial back end for this job.
-	Shards int `json:"shards,omitempty"`
-	Batch  int `json:"batch,omitempty"`
 	// NoStatic disables the static race analysis for this job
 	// (instrument everything), as racedet -nostatic.
 	NoStatic bool `json:"nostatic,omitempty"`
@@ -96,7 +94,8 @@ type JobResult struct {
 }
 
 // jobOptions merges the daemon's per-session defaults with the job's
-// own knobs into the one-shot API's Options.
+// own knobs into the one-shot API's Options: always the serial back
+// end, which the session layer below retries and degrades as a whole.
 func (s *Server) jobOptions(req JobRequest) racedet.Options {
 	o := racedet.Options{
 		Seed:                  req.Seed,
@@ -104,26 +103,6 @@ func (s *Server) jobOptions(req JobRequest) racedet.Options {
 		Timeout:               s.opts.JobTimeout,
 		LivelockWindow:        s.opts.LivelockWindow,
 		FactCacheDir:          s.opts.FactCacheDir,
-		Shards:                s.opts.Shards,
-		BatchSize:             s.opts.BatchSize,
-	}
-	switch {
-	case req.Shards > 0:
-		o.Shards = req.Shards
-	case req.Shards < 0:
-		o.Shards = 0
-	}
-	if req.Batch > 0 {
-		o.BatchSize = req.Batch
-	}
-	if o.Shards >= 1 {
-		o.JournalCap = s.opts.JournalCap
-		o.RetryBudget = s.opts.ShardRetryBudget
-		// Shard-level faults in the daemon's plan reach each session's
-		// sharded back end through the spec (the structural *Plan in
-		// Options.Faults is daemon-scoped; per-session state like fault
-		// op counters must not be shared across jobs).
-		o.FaultInjection = s.opts.DetectorFaultSpec
 	}
 	o.Detector, _ = detectorFor(req.Detector) // validated at admission
 	return o
@@ -167,9 +146,6 @@ func (s *Server) runSession(job uint64, req JobRequest) JobResult {
 	// still gets an explicit verdict instead of a lost analysis.
 	eopts := opts
 	eopts.Detector = racedet.Eraser
-	eopts.Shards = 0
-	eopts.BatchSize = 0
-	eopts.JournalCap = 0
 	eopts.FactCacheDir = "" // the degraded pass must not depend on shared state
 	res, err, panicked := s.attempt(job, req, eopts, false)
 	if panicked {
@@ -267,12 +243,6 @@ func (s *Server) finishResult(out jobOutcome, err error, retries int) JobResult 
 	s.m.factFnHits.Add(uint64(res.Stats.FactCacheFnHits))
 	s.m.factFnMisses.Add(uint64(res.Stats.FactCacheFnMisses))
 	s.m.factWriteErrors.Add(uint64(res.Stats.FactCacheWriteErrors))
-	s.m.workerRestarts.Add(res.Stats.WorkerRestarts)
-	s.m.eventsReplayed.Add(res.Stats.EventsReplayed)
-	s.m.checkpoints.Add(res.Stats.Checkpoints)
-	s.m.degradedShards.Add(uint64(res.Stats.DegradedShards))
-	s.m.droppedEvents.Add(res.Stats.DroppedEvents)
-	s.m.backpressureStalls.Add(res.Stats.BackpressureStalls)
 	s.m.eventsShipped.Add(res.Stats.EventsShipped)
 	return jr
 }

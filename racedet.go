@@ -172,29 +172,15 @@ type Options struct {
 	// and reports are unchanged.
 	BatchSize int
 
-	// JournalCap enables fault tolerance for sharded detection: each
-	// shard journals its routed events and checkpoints its state, so a
-	// crashed worker is restarted and replayed — and, once RetryBudget
-	// is exhausted, degraded to a simpler lockset detector — instead of
-	// failing the run (0 = off). Recovery work is quantified in Stats.
-	JournalCap int
-	// RetryBudget is the number of restart attempts per shard before it
-	// degrades (0 = degrade on the first crash). Meaningful only with
-	// JournalCap > 0.
-	RetryBudget int
 	// ShardQueueDepth bounds each shard's event queue in messages
-	// (0 = a small default). A full queue blocks the event producer
-	// unless DropOnBackpressure is set.
+	// (0 = a small default). A full queue blocks the event producer.
 	ShardQueueDepth int
-	// DropOnBackpressure sheds load instead of blocking when a shard
-	// queue is full: access batches are dropped with exact accounting
-	// in Stats (the run may then under-report races). Control events
-	// are never dropped.
-	DropOnBackpressure bool
 	// FaultInjection is a deterministic fault-injection spec for
 	// robustness testing of sharded detection, e.g.
 	// "panic:shard=1,event=100" (see internal/faultinject for the
 	// syntax). Empty disables injection; an invalid spec fails Detect.
+	// A crashed shard worker fails the run with an error naming the
+	// shard.
 	FaultInjection string
 }
 
@@ -231,10 +217,7 @@ func (o Options) config() core.Config {
 	cfg.MaxOwnerLocations = o.MaxOwnerLocations
 	cfg.Shards = o.Shards
 	cfg.BatchSize = o.BatchSize
-	cfg.JournalCap = o.JournalCap
-	cfg.RetryBudget = o.RetryBudget
 	cfg.ShardQueueDepth = o.ShardQueueDepth
-	cfg.DropOnBackpressure = o.DropOnBackpressure
 	cfg.FaultSpec = o.FaultInjection
 	switch o.Detector {
 	case Eraser:
@@ -309,20 +292,14 @@ type Stats struct {
 	CacheThreadEvictions uint64 // whole per-thread caches discarded
 	OwnerOverflows       uint64 // accesses forwarded as born-shared
 
-	// Fault-tolerance counters of supervised sharded runs (all zero
-	// for serial or unsupervised runs). WorkerRestarts and
-	// EventsReplayed describe exact recoveries; DegradedShards > 0 or
-	// DroppedEvents > 0 mean the affected shards' reports are
-	// best-effort rather than byte-exact.
-	WorkerRestarts uint64
-	EventsReplayed uint64
-	Checkpoints    uint64
-	DegradedShards int
-	DegradedEvents uint64
-	DroppedEvents  uint64
+	// Checkpoints is a compatibility shim for the removed shard
+	// supervision layer and is always zero. It remains only because the
+	// repository benchmark still reads it, and can go together with that
+	// read in the next change to the benchmark.
+	Checkpoints uint64
 	// BackpressureStalls counts blocking sends that found a shard
-	// queue full (router stalls); long-running services watch it to
-	// size their queues.
+	// queue full (router stalls) and QueueHighWater the deepest shard
+	// queue seen, in batches (both zero for the serial back end).
 	BackpressureStalls uint64
 	QueueHighWater     int
 
@@ -609,12 +586,6 @@ func convert(res *core.RunResult) *Result {
 			TrieCollapses:        res.DetectorStats.Trie.Collapses,
 			CacheThreadEvictions: res.DetectorStats.Cache.ThreadEvictions,
 			OwnerOverflows:       res.DetectorStats.OwnerOverflows,
-			WorkerRestarts:       res.DetectorStats.Recovery.Restarts,
-			EventsReplayed:       res.DetectorStats.Recovery.Replayed,
-			Checkpoints:          res.DetectorStats.Recovery.Checkpoints,
-			DegradedShards:       res.DetectorStats.Recovery.DegradedShards,
-			DegradedEvents:       res.DetectorStats.Recovery.DegradedEvents,
-			DroppedEvents:        res.DetectorStats.Recovery.DroppedEvents,
 			BackpressureStalls:   res.DetectorStats.Recovery.BackpressureStalls,
 			QueueHighWater:       res.DetectorStats.Recovery.QueueHighWater,
 			EventsShipped:        res.DetectorStats.Shipped,
